@@ -14,10 +14,10 @@ Print Table 1 evaluated at a given size::
 
     python -m repro table1 --nodes 100000 --diameter 50
 
-Run on the event-driven execution engine (idle nodes are skipped; same
-results, asymptotically faster for wave-style algorithms)::
+Run on the dense reference engine (every node every round; same results
+as the default event-driven engine, which skips idle nodes)::
 
-    python -m repro diameter --family clique_chain --nodes 24 --engine sparse
+    python -m repro diameter --family clique_chain --nodes 24 --engine dense
 
 Sweep a grid of graph families and sizes over the standard algorithms,
 fanned out over 4 worker processes (records are byte-identical to a
@@ -834,7 +834,7 @@ def add_grid_options(sub: argparse.ArgumentParser, sizes_default: str) -> None:
         "--engine", default=None, choices=ENGINE_NAMES,
         help=(
             "execution engine for the CONGEST simulator (results are "
-            "engine-independent; default: dense)"
+            "engine-independent; default: sparse)"
         ),
     )
     sub.add_argument(
@@ -1028,9 +1028,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--engine", default=None, choices=ENGINE_NAMES,
             help=(
-                "execution engine for the CONGEST simulator: 'dense' runs "
-                "every node every round, 'sparse' skips idle nodes "
-                "(default: the process default, dense)"
+                "execution engine for the CONGEST simulator: 'sparse' skips "
+                "idle nodes, 'dense' runs every node every round "
+                "(default: the process default, sparse)"
             ),
         )
         sub.add_argument(

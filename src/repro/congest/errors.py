@@ -44,7 +44,7 @@ class RoundLimitExceededError(CongestSimulationError):
         """The round-cap abort of the engine's run loops.
 
         One construction site for every loop, so the (enriched) message
-        is identical across the dense, sparse, vector and fault-aware
+        is identical across the dense, sparse and fault-aware
         paths and states how far the execution got before the cap.
         """
         return cls(

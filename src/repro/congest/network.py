@@ -11,10 +11,11 @@ thin facade: the round loop itself lives in
 :class:`repro.engine.engine.ExecutionEngine`, which composes a *scheduler*
 (which nodes run each round), a *transport* (message delivery + bandwidth
 policy, with a payload-size memo cache) and a *metrics pipeline* (pluggable
-observers).  ``Network(graph, engine="dense")`` reproduces the historical
-behaviour bit-for-bit; ``engine="sparse"`` skips idle nodes entirely, which
-is asymptotically faster for the paper's BFS-wave algorithms and produces
-identical metrics for idle-quiescent algorithms (see
+observers).  ``engine="sparse"``, the default, skips idle nodes entirely,
+which is asymptotically faster for the paper's BFS-wave algorithms and
+produces identical metrics for idle-quiescent algorithms;
+``Network(graph, engine="dense")`` reproduces the historical behaviour
+bit-for-bit and is the differential reference (see
 :mod:`repro.engine.scheduler`).
 
 Bandwidth.  The CONGEST model allows ``bw = O(log n)`` bits per edge per
@@ -89,10 +90,10 @@ class Network:
     seed:
         Seed for the per-node pseudo-random generators.
     engine:
-        Execution-engine name: ``"dense"`` (the historical every-node-every-
-        round loop) or ``"sparse"`` (event-driven, idle nodes are skipped).
-        ``None`` uses the process-wide default
-        (:func:`repro.engine.set_default_engine`).
+        Execution-engine name: ``"sparse"`` (event-driven, idle nodes are
+        skipped) or ``"dense"`` (the historical every-node-every-round
+        loop).  ``None`` uses the process-wide default, ``"sparse"``
+        unless changed with :func:`repro.engine.set_default_engine`.
     fault_model:
         A :class:`repro.faults.FaultModel` (or registry name) injected
         into every run of this network: seeded message loss/delay, node

@@ -197,6 +197,7 @@ class DispatchCoordinator:
         self._running = False
         self._server: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
+        self._peers: List[FramedSocket] = []
         self._stop_ticker = threading.Event()
         self._cost_model = CostModel()
         self._counters: Dict[str, int] = {
@@ -236,30 +237,44 @@ class DispatchCoordinator:
         return self
 
     def stop(self) -> None:
-        """Shut down: notify workers, drop clients, close the socket."""
+        """Shut down: notify workers, drop every peer, close the socket.
+
+        Raises ``RuntimeError`` if a coordinator thread is still alive
+        after its join: every thread blocks only on a socket that this
+        method shuts down, so a survivor is a bug, not a slow peer.
+        """
         with self._lock:
             if not self._running:
                 return
             self._running = False
             workers = list(self._workers.values())
-            grids = list(self._grids.values())
+            peers = list(self._peers)
+            threads = list(self._threads)
             self._queue.clear()
         self._stop_ticker.set()
         if self._server is not None:
+            # shutdown() wakes the thread blocked in accept(); close()
+            # alone leaves it blocked until the join times out.
             try:
-                self._server.close()
+                self._server.shutdown(socket.SHUT_RDWR)
             except OSError:
-                pass
+                pass  # not every platform allows it on a listening socket
+            self._server.close()
         for worker in workers:
             try:
                 worker.conn.send({"type": "shutdown"})
             except OSError:
                 pass
-            worker.conn.close()
-        for grid in grids:
-            grid.client.close()
-        for thread in self._threads:
+        # Workers, grid clients and peers that never sent a first frame.
+        for conn in peers:
+            conn.close()
+        for thread in threads:
             thread.join(timeout=5.0)
+        alive = [thread.name for thread in threads if thread.is_alive()]
+        if alive:
+            raise RuntimeError(
+                f"dispatch coordinator thread(s) did not exit: {', '.join(alive)}"
+            )
 
     def __enter__(self) -> "DispatchCoordinator":
         return self.start() if not self._running else self
@@ -335,18 +350,25 @@ class DispatchCoordinator:
     # -- peer connections ----------------------------------------------
     def _accept_loop(self) -> None:
         assert self._server is not None
-        while self._running:
+        while True:
             try:
                 sock, _ = self._server.accept()
             except OSError:
-                return  # listening socket closed by stop()
+                return  # listening socket shut down by stop()
             conn = FramedSocket(sock)
             thread = threading.Thread(
                 target=self._serve_peer, args=(conn,),
                 name="dispatch-peer", daemon=True,
             )
+            # Registered under the lock so stop() either sees the peer
+            # (and closes it) or this loop sees the stop.
+            with self._lock:
+                if not self._running:
+                    conn.close()
+                    return
+                self._peers.append(conn)
+                self._threads.append(thread)
             thread.start()
-            self._threads.append(thread)
 
     def _ticker_loop(self) -> None:
         interval = max(0.05, min(1.0, self.straggler_deadline / 4.0))

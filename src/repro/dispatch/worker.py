@@ -546,6 +546,10 @@ def run_worker(
             stop_heartbeat.set()
             conn.close()
             heartbeat.join(timeout=heartbeat_interval + 1.0)
+        if heartbeat.is_alive():
+            # It waits only on the stop event and on ``conn``, both
+            # released above: a survivor is a bug, not a slow peer.
+            raise RuntimeError("dispatch heartbeat thread did not exit")
         stats["sessions"] += 1
         if supervise:
             if stop_event.is_set():

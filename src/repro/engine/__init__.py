@@ -4,12 +4,14 @@ The simulation core is decomposed into three composable components, wired
 together by :class:`repro.engine.engine.ExecutionEngine`:
 
 * **Scheduler** (:mod:`repro.engine.scheduler`) -- which nodes run in each
-  round.  ``DenseScheduler`` reproduces the seed behaviour bit-for-bit;
-  ``SparseScheduler`` is event-driven and skips idle nodes entirely, which
-  turns Theta(n * rounds) scheduling work into Theta(activations) for the
-  BFS-wave algorithms at the heart of the paper.
+  round.  ``SparseScheduler`` (the default) is event-driven and skips idle
+  nodes entirely, which turns Theta(n * rounds) scheduling work into
+  Theta(activations) for the BFS-wave algorithms at the heart of the
+  paper; ``DenseScheduler`` reproduces the seed behaviour bit-for-bit and
+  is the differential reference.
 * **Transport** (:mod:`repro.engine.transport`) -- message validation,
-  memoised size measurement and the bandwidth policy.
+  memoised size measurement, the bandwidth policy and per-outbox
+  accounting.
 * **MetricsPipeline** (:mod:`repro.engine.observers`) -- pluggable
   observers replacing the inlined accounting and traffic-log code.
 
@@ -40,7 +42,6 @@ from repro.engine.scheduler import (
     DenseScheduler,
     Scheduler,
     SparseScheduler,
-    VectorScheduler,
     make_scheduler,
 )
 from repro.engine.transport import Transport
@@ -57,7 +58,6 @@ __all__ = [
     "Scheduler",
     "DenseScheduler",
     "SparseScheduler",
-    "VectorScheduler",
     "SCHEDULERS",
     "make_scheduler",
     "Transport",

@@ -4,25 +4,28 @@
 ``Network.run``, decomposed into three composable components:
 
 * a :class:`repro.engine.scheduler.Scheduler` decides *which* nodes run in
-  each round (dense = all, sparse = only nodes with messages or self-wakes);
+  each round (sparse, the default = only nodes with messages or
+  self-wakes; dense = all, kept as the differential reference);
 * a :class:`repro.engine.transport.Transport` moves messages -- neighbour
-  validation, memoised size measurement, bandwidth policy, delivery;
-* a :class:`repro.engine.observers.MetricsPipeline` receives every
-  measurable event (core accounting, traffic logs, custom observers).
+  validation, memoised size measurement (once per shared broadcast
+  payload), bandwidth policy, delivery -- and adds each outbox's totals
+  to the run's metrics;
+* a :class:`repro.engine.observers.MetricsPipeline` holds the run's
+  observers; only those that override a per-event hook are called per
+  event (core accounting is batched, see :mod:`repro.engine.observers`).
 
-``Network`` keeps its public ``run`` signature and delegates here; new
-execution policies are additional schedulers/transports, not rewrites of
-the loop.  Faulty links and dynamic topologies are in: a network built
-with a non-null :class:`repro.faults.FaultModel` routes through
-:meth:`ExecutionEngine._run_loop_faulty`, which layers message
-loss/delay, fail-pause crash/restart and per-round edge churn over the
-same scheduler/transport structure (the null model keeps the clean
-loops, byte-identical to the pre-fault engine).
+``Network`` keeps its public ``run`` signature and delegates here; both
+schedulers share one round loop.  Faulty links and dynamic topologies
+are in: a network built with a non-null :class:`repro.faults.FaultModel`
+routes through :meth:`ExecutionEngine._run_loop_faulty`, which layers
+message loss/delay, fail-pause crash/restart and per-round edge churn
+over the same scheduler/transport structure (the null model keeps the
+clean loop, byte-identical to the pre-fault engine).
 
 Internally the engine represents inboxes *sparsely*: the inbox mapping of a
 round contains exactly the nodes that received at least one message, so the
-per-round cost is O(active + messages) rather than O(n) when paired with
-the sparse scheduler.
+per-round cost is O(active + messages) rather than O(n) under the sparse
+scheduler.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from repro.graphs.graph import NodeId
 #: The engine used when neither the ``Network`` constructor nor the caller
 #: picks one explicitly.  Toggled process-wide by :func:`set_default_engine`
 #: (the CLI ``--engine`` flag and the benchmark ``--engine`` option use it).
-_DEFAULT_ENGINE = "dense"
+_DEFAULT_ENGINE = "sparse"
 
 
 def set_default_engine(name: str) -> str:
@@ -166,32 +169,22 @@ class ExecutionEngine:
                     max_rounds, exact_rounds, record_traffic,
                     fault_model, run_index,
                 )
-            run_loop = (
-                self._run_loop_vector
-                if getattr(scheduler, "vectorized", False)
-                else self._run_loop
-            )
-            return run_loop(
+            return self._run_loop(
                 network, algorithms, scheduler, ExecutionResult,
                 max_rounds, exact_rounds, record_traffic,
             )
         finally:
             self._run_depth -= 1
 
-    def _run_loop(
-        self,
-        network,
-        algorithms: Dict[NodeId, NodeAlgorithm],
-        scheduler: Scheduler,
-        result_type,
-        max_rounds: int,
-        exact_rounds: Optional[int],
-        record_traffic: bool,
-    ):
-
+    def _begin_run(self, network, record_traffic: bool, faulty: bool = False):
+        """The run's observer pipeline, traffic observer and compiled
+        topology, with the transport rebound to the network's current
+        configuration."""
         core = CoreMetricsObserver(bandwidth_limit_bits=network.bandwidth_bits)
+        observers: list = [core]
+        if faulty:
+            observers.append(FaultObserver(core.metrics))
         traffic_observer = TrafficLogObserver() if record_traffic else None
-        observers = [core]
         if traffic_observer is not None:
             observers.append(traffic_observer)
         if self._run_depth == 1:
@@ -199,7 +192,6 @@ class ExecutionEngine:
             # nested run's events would corrupt cross-run accounting such as
             # the stitched traffic transcript's sequential round re-basing.
             observers.extend(self.observers)
-        pipeline = MetricsPipeline(observers)
 
         # The bandwidth policy is re-read from the network on every run so
         # that post-construction mutations of ``bandwidth_bits`` /
@@ -212,13 +204,15 @@ class ExecutionEngine:
         transport.strict_bandwidth = network.strict_bandwidth
         indexed = network.graph.compile()
         transport.bind_topology(indexed)
+        return MetricsPipeline(observers), traffic_observer, indexed
 
-        cache_misses_before = transport.cache_misses
-        cache_overflows_before = transport.cache_overflows
+    @staticmethod
+    def _initial_state(algorithms, scheduler: Scheduler):
+        """Per-node finished flags and the unfinished count at round 0.
 
-        scheduler.begin_run(algorithms, indexed)
-        uses_wakes = scheduler.uses_wakes
-
+        Also registers the wakes requested during construction (e.g. a
+        wave source that knows its start round up-front).
+        """
         finished_state: Dict[NodeId, bool] = {}
         unfinished = 0
         for node, algorithm in algorithms.items():
@@ -226,14 +220,62 @@ class ExecutionEngine:
             finished_state[node] = finished
             if not finished:
                 unfinished += 1
-            # Wakes requested during construction (e.g. a wave source that
-            # knows its start round up-front).
             requests = algorithm.consume_wake_requests()
-            if uses_wakes and requests:
+            if scheduler.uses_wakes and requests:
                 for request in requests:
                     scheduler.request_wake(
                         node, 0 if request is None else max(0, request)
                     )
+        return finished_state, unfinished
+
+    def _finish_run(
+        self, pipeline, traffic_observer, algorithms, result_type,
+        rounds: int, peak_memory: int, misses_before: int,
+        overflows_before: int,
+    ):
+        """Stamp the run's metrics, notify observers, build the result."""
+        transport = self.transport
+        metrics = pipeline.metrics
+        metrics.rounds = rounds
+        if peak_memory > metrics.max_node_memory_bits:
+            metrics.max_node_memory_bits = peak_memory
+        # A message either performed one measurement or repeated the
+        # previous payload of its outbox, so the cache hits of this run are
+        # the messages that were not misses (clamped: a nested run's misses
+        # land in this delta while its messages do not).
+        misses = transport.cache_misses - misses_before
+        metrics.size_cache_misses = misses
+        metrics.size_cache_hits = max(0, metrics.messages - misses)
+        metrics.size_cache_overflows = transport.cache_overflows - overflows_before
+        pipeline.on_run_end(metrics)
+        results = {node: algorithm.result() for node, algorithm in algorithms.items()}
+        return result_type(
+            results=results,
+            metrics=metrics,
+            traffic=traffic_observer.traffic if traffic_observer is not None else None,
+        )
+
+    def _run_loop(
+        self,
+        network,
+        algorithms: Dict[NodeId, NodeAlgorithm],
+        scheduler: Scheduler,
+        result_type,
+        max_rounds: int,
+        exact_rounds: Optional[int],
+        record_traffic: bool,
+    ):
+        pipeline, traffic_observer, indexed = self._begin_run(
+            network, record_traffic
+        )
+        metrics = pipeline.metrics
+        transport = self.transport
+        misses_before = transport.cache_misses
+        overflows_before = transport.cache_overflows
+
+        scheduler.begin_run(algorithms, indexed)
+        uses_wakes = scheduler.uses_wakes
+        finished_state, unfinished = self._initial_state(algorithms, scheduler)
 
         pipeline.on_run_start(network)
 
@@ -242,14 +284,17 @@ class ExecutionEngine:
         # inbox dicts are recycled through ``inbox_pool`` instead of being
         # reallocated every round; an inbox is therefore only valid for the
         # duration of the ``on_round`` call it is passed to (see
-        # :class:`repro.congest.node.NodeAlgorithm`).
+        # :class:`repro.congest.node.NodeAlgorithm`).  Memory samples feed
+        # a local high-water mark; only observers that override
+        # ``on_memory_sample`` see them one by one (``memory_hook``).
         deliver = transport.deliver
-        on_memory_sample = pipeline.on_memory_sample
+        memory_hook = pipeline.memory_hook
         on_round_end = pipeline.on_round_end
         active_nodes = scheduler.active_nodes
         request_wake = scheduler.request_wake
         has_scheduled_wakes = scheduler.has_scheduled_wakes
         inbox_pool: list = []
+        peak_memory = 0
         # Full-round fast path: when the scheduler hands back its
         # every-node sequence (identity check), iterate the prezipped
         # (node, algorithm) pairs instead of one dict lookup per node --
@@ -263,14 +308,13 @@ class ExecutionEngine:
             if exact_rounds is not None and round_number >= exact_rounds:
                 break
             if exact_rounds is None and round_number > 0:
-                pending_wakes = has_scheduled_wakes()
-                if not inboxes and not pending_wakes:
+                if not inboxes and not has_scheduled_wakes():
                     if unfinished == 0:
                         break
                     scheduler.check_quiescent(round_number, unfinished)
             if round_number >= max_rounds:
                 raise RoundLimitExceededError.for_run(
-                    max_rounds, round_number, core.metrics.messages
+                    max_rounds, round_number, metrics.messages
                 )
 
             active = active_nodes(round_number, inboxes)
@@ -301,7 +345,10 @@ class ExecutionEngine:
                 inbox_pool.append(inbox)
                 memory = algorithm.memory_bits()
                 if memory is not None:
-                    on_memory_sample(node, memory)
+                    if memory > peak_memory:
+                        peak_memory = memory
+                    if memory_hook is not None:
+                        memory_hook(node, memory)
                 finished = algorithm.finished
                 if finished != finished_state[node]:
                     finished_state[node] = finished
@@ -327,191 +374,10 @@ class ExecutionEngine:
                 if unfinished == 0 and not has_scheduled_wakes():
                     break
 
-        metrics = core.metrics
-        metrics.rounds = round_number
-        # Each delivered message performed exactly one measurement, so the
-        # cache hits of this run are the messages that were not misses
-        # (clamped: a nested run's misses land in this delta while its
-        # messages do not).
-        misses = transport.cache_misses - cache_misses_before
-        metrics.size_cache_misses = misses
-        metrics.size_cache_hits = max(0, metrics.messages - misses)
-        metrics.size_cache_overflows = (
-            transport.cache_overflows - cache_overflows_before
+        return self._finish_run(
+            pipeline, traffic_observer, algorithms, result_type,
+            round_number, peak_memory, misses_before, overflows_before,
         )
-        pipeline.on_run_end(metrics)
-        results = {node: algorithm.result() for node, algorithm in algorithms.items()}
-        return result_type(
-            results=results,
-            metrics=metrics,
-            traffic=traffic_observer.traffic if traffic_observer is not None else None,
-        )
-
-
-    def _run_loop_vector(
-        self,
-        network,
-        algorithms: Dict[NodeId, NodeAlgorithm],
-        scheduler: Scheduler,
-        result_type,
-        max_rounds: int,
-        exact_rounds: Optional[int],
-        record_traffic: bool,
-    ):
-        """The array-indexed round loop of the ``vector`` engine.
-
-        Dense semantics (every node runs every round), restructured
-        around node *indices* instead of labels: per-node state lives in
-        flat lists addressed by CSR index -- inbox slot arrays that the
-        transport's :meth:`~repro.engine.transport.Transport.deliver_vector`
-        fills in place, prebound wake-request lists (no per-activation
-        ``getattr``), finished flags (no dict probes) -- and an outbox
-        that shares one payload object across its targets (the
-        ``broadcast`` shape) is measured and observed once per batch.
-        Results, metrics and event streams are byte-identical to
-        :meth:`_run_loop` under the dense scheduler; the differential
-        tests hold all three engines equal.
-        """
-        core = CoreMetricsObserver(bandwidth_limit_bits=network.bandwidth_bits)
-        traffic_observer = TrafficLogObserver() if record_traffic else None
-        observers = [core]
-        if traffic_observer is not None:
-            observers.append(traffic_observer)
-        if self._run_depth == 1:
-            observers.extend(self.observers)
-        pipeline = MetricsPipeline(observers)
-
-        transport = self.transport
-        transport.bandwidth_bits = network.bandwidth_bits
-        transport.strict_bandwidth = network.strict_bandwidth
-        indexed = network.graph.compile()
-        transport.bind_topology(indexed)
-
-        cache_misses_before = transport.cache_misses
-        cache_overflows_before = transport.cache_overflows
-
-        scheduler.begin_run(algorithms, indexed)
-
-        labels = indexed.labels
-        n = len(labels)
-        algos = [algorithms[label] for label in labels]
-
-        finished_flags = []
-        unfinished = 0
-        for algorithm in algos:
-            finished = algorithm.finished
-            finished_flags.append(finished)
-            if not finished:
-                unfinished += 1
-            # Wakes requested during construction are drained exactly as
-            # in the dense loop; the vector policy ignores them.
-            algorithm.consume_wake_requests()
-        # Prebound wake lists -- bound *after* the initial drain, which
-        # replaces each algorithm's list object.  The loop clears these
-        # in place (``del wakes[:]``) so the bindings stay valid, which
-        # removes the per-activation ``getattr`` of the dense loop.
-        wake_lists = [
-            getattr(algorithm, "_wake_requests", None) for algorithm in algos
-        ]
-
-        pipeline.on_run_start(network)
-
-        deliver_vector = transport.deliver_vector
-        # Single-observer fast path: the common un-instrumented run has
-        # exactly the core observer, so events skip the pipeline fan-out
-        # loop (same calls, one layer fewer).
-        if len(observers) == 1:
-            on_memory_sample = core.on_memory_sample
-        else:
-            on_memory_sample = pipeline.on_memory_sample
-        on_round_end = pipeline.on_round_end
-        inbox_pool: list = []
-        node_range = range(n)
-
-        # Ping-pong inbox slot arrays: ``slots[i]`` is node i's inbox for
-        # the current round (``None`` = nothing received), ``touched``
-        # the indices holding one.  After a round the consumed slots are
-        # nulled (O(touched)) and the arrays swap.
-        slots: list = [None] * n
-        touched: list = []
-        next_slots: list = [None] * n
-        next_touched: list = []
-
-        round_number = 0
-        while True:
-            if exact_rounds is not None and round_number >= exact_rounds:
-                break
-            if (
-                exact_rounds is None
-                and round_number > 0
-                and not touched
-                and unfinished == 0
-            ):
-                break
-            if round_number >= max_rounds:
-                raise RoundLimitExceededError.for_run(
-                    max_rounds, round_number, core.metrics.messages
-                )
-
-            any_message = False
-            for index in node_range:
-                algorithm = algos[index]
-                inbox = slots[index]
-                if inbox is None:
-                    inbox = inbox_pool.pop() if inbox_pool else {}
-                outbox = algorithm.on_round(round_number, inbox)
-                if outbox:
-                    any_message = True
-                    deliver_vector(
-                        round_number, labels[index], outbox, next_slots,
-                        next_touched, pipeline, inbox_pool,
-                    )
-                # Recycle the consumed inbox (after delivery, in case the
-                # algorithm returned its inbox as the outbox); same
-                # ownership contract as the dense loop.
-                if inbox:
-                    inbox.clear()
-                inbox_pool.append(inbox)
-                memory = algorithm.memory_bits()
-                if memory is not None:
-                    on_memory_sample(labels[index], memory)
-                finished = algorithm.finished
-                if finished != finished_flags[index]:
-                    finished_flags[index] = finished
-                    unfinished += -1 if finished else 1
-                wakes = wake_lists[index]
-                if wakes:
-                    # Drained like every engine so requests cannot pile
-                    # up; cleared in place to keep the binding valid.
-                    del wakes[:]
-            on_round_end(round_number)
-
-            round_number += 1
-            for index in touched:
-                slots[index] = None
-            touched.clear()
-            slots, next_slots = next_slots, slots
-            touched, next_touched = next_touched, touched
-
-            if exact_rounds is None and not any_message and unfinished == 0:
-                break
-
-        metrics = core.metrics
-        metrics.rounds = round_number
-        misses = transport.cache_misses - cache_misses_before
-        metrics.size_cache_misses = misses
-        metrics.size_cache_hits = max(0, metrics.messages - misses)
-        metrics.size_cache_overflows = (
-            transport.cache_overflows - cache_overflows_before
-        )
-        pipeline.on_run_end(metrics)
-        results = {node: algorithm.result() for node, algorithm in algorithms.items()}
-        return result_type(
-            results=results,
-            metrics=metrics,
-            traffic=traffic_observer.traffic if traffic_observer is not None else None,
-        )
-
 
     def _run_loop_faulty(
         self,
@@ -528,7 +394,7 @@ class ExecutionEngine:
         """The fault-aware round loop (any scheduler, non-null model only).
 
         A sibling of :meth:`_run_loop` -- kept separate so the clean
-        loops stay byte-identical to the pre-fault engine -- with four
+        loop stays byte-identical to the pre-fault engine -- with four
         additions threaded through the same structure:
 
         * the resolved :class:`repro.faults.FaultPlan` decides message
@@ -546,27 +412,21 @@ class ExecutionEngine:
           degradation events into the run's metrics, and the model's
           ``timeout`` tightens ``max_rounds`` so stuck runs fail fast.
 
-        The vector scheduler is handled here through its dense semantics
-        (label-keyed inboxes, per-message delivery): fault decisions are
-        per-message anyway, so the broadcast fast path does not apply.
-        All fault decisions are stateless hashes of their coordinates
-        (see :mod:`repro.faults`), so the dense, sparse and vector
-        engines produce identical faulty executions.
+        A run that can never progress again -- unfinished nodes, nothing
+        in flight, no wake scheduled, no restart ahead -- fails with the
+        round-limit error it would reach by spinning to ``max_rounds``.
+        The sparse engine raises it at once; the dense engine, which does
+        not track wakes, spins there (an idle-quiescent node sends nothing
+        meanwhile), so both report the same error.  All fault decisions
+        are stateless hashes of their coordinates (see
+        :mod:`repro.faults`), so both engines produce identical faulty
+        executions.
         """
-        core = CoreMetricsObserver(bandwidth_limit_bits=network.bandwidth_bits)
-        traffic_observer = TrafficLogObserver() if record_traffic else None
-        observers = [core, FaultObserver(core.metrics)]
-        if traffic_observer is not None:
-            observers.append(traffic_observer)
-        if self._run_depth == 1:
-            observers.extend(self.observers)
-        pipeline = MetricsPipeline(observers)
-
+        pipeline, traffic_observer, indexed = self._begin_run(
+            network, record_traffic, faulty=True
+        )
+        metrics = pipeline.metrics
         transport = self.transport
-        transport.bandwidth_bits = network.bandwidth_bits
-        transport.strict_bandwidth = network.strict_bandwidth
-        indexed = network.graph.compile()
-        transport.bind_topology(indexed)
 
         plan = fault_model.resolve(network._seed, indexed, run_index)
         if fault_model.timeout is not None:
@@ -582,25 +442,12 @@ class ExecutionEngine:
         has_crashes = bool(plan.crash_round)
         has_churn = fault_model.churn > 0.0
 
-        cache_misses_before = transport.cache_misses
-        cache_overflows_before = transport.cache_overflows
+        misses_before = transport.cache_misses
+        overflows_before = transport.cache_overflows
 
         scheduler.begin_run(algorithms, indexed)
         uses_wakes = scheduler.uses_wakes
-
-        finished_state: Dict[NodeId, bool] = {}
-        unfinished = 0
-        for node, algorithm in algorithms.items():
-            finished = algorithm.finished
-            finished_state[node] = finished
-            if not finished:
-                unfinished += 1
-            requests = algorithm.consume_wake_requests()
-            if uses_wakes and requests:
-                for request in requests:
-                    scheduler.request_wake(
-                        node, 0 if request is None else max(0, request)
-                    )
+        finished_state, unfinished = self._initial_state(algorithms, scheduler)
         if uses_wakes:
             # Restarted nodes must run at their restart round even with an
             # empty inbox; registering the wakes up-front also keeps
@@ -613,7 +460,7 @@ class ExecutionEngine:
         pipeline.on_run_start(network)
 
         deliver_faulty = transport.deliver_faulty
-        on_memory_sample = pipeline.on_memory_sample
+        memory_hook = pipeline.memory_hook
         on_round_end = pipeline.on_round_end
         on_node_crashed = pipeline.on_node_crashed
         on_node_restarted = pipeline.on_node_restarted
@@ -623,6 +470,7 @@ class ExecutionEngine:
         has_scheduled_wakes = scheduler.has_scheduled_wakes
         node_down = plan.node_down
         inbox_pool: list = []
+        peak_memory = 0
         full_sequence = scheduler.all_nodes()
         algorithm_pairs = list(algorithms.items())
 
@@ -650,15 +498,16 @@ class ExecutionEngine:
             if exact_rounds is not None and round_number >= exact_rounds:
                 break
             if exact_rounds is None and round_number > 0:
-                pending_wakes = has_scheduled_wakes()
-                if not inboxes and not pending_wakes and not pending:
+                if not inboxes and not has_scheduled_wakes() and not pending:
                     if unfinished == 0:
                         break
-                    if not plan.restarts_pending(round_number):
-                        scheduler.check_quiescent(round_number, unfinished)
+                    if uses_wakes and not plan.restarts_pending(round_number):
+                        raise RoundLimitExceededError.for_run(
+                            max_rounds, max_rounds, metrics.messages
+                        )
             if round_number >= max_rounds:
                 raise RoundLimitExceededError.for_run(
-                    max_rounds, round_number, core.metrics.messages
+                    max_rounds, round_number, metrics.messages
                 )
 
             for node in crash_events.pop(round_number, ()):
@@ -703,7 +552,10 @@ class ExecutionEngine:
                 inbox_pool.append(inbox)
                 memory = algorithm.memory_bits()
                 if memory is not None:
-                    on_memory_sample(node, memory)
+                    if memory > peak_memory:
+                        peak_memory = memory
+                    if memory_hook is not None:
+                        memory_hook(node, memory)
                 finished = algorithm.finished
                 if finished != finished_state[node]:
                     finished_state[node] = finished
@@ -731,20 +583,9 @@ class ExecutionEngine:
                 ):
                     break
 
-        metrics = core.metrics
-        metrics.rounds = round_number
-        misses = transport.cache_misses - cache_misses_before
-        metrics.size_cache_misses = misses
-        metrics.size_cache_hits = max(0, metrics.messages - misses)
-        metrics.size_cache_overflows = (
-            transport.cache_overflows - cache_overflows_before
-        )
-        pipeline.on_run_end(metrics)
-        results = {node: algorithm.result() for node, algorithm in algorithms.items()}
-        return result_type(
-            results=results,
-            metrics=metrics,
-            traffic=traffic_observer.traffic if traffic_observer is not None else None,
+        return self._finish_run(
+            pipeline, traffic_observer, algorithms, result_type,
+            round_number, peak_memory, misses_before, overflows_before,
         )
 
 

@@ -1,13 +1,21 @@
 """Pluggable metrics pipeline: observers of a CONGEST execution.
 
-The execution engine (:mod:`repro.engine.engine`) no longer hard-codes its
-accounting: every measurable event -- a message crossing an edge, a memory
-sample, the end of a round or of a whole run -- is fanned out to a list of
-:class:`MetricsObserver` instances.  The core accounting that the seed
-simulator performed inline (rounds, messages, bits, bandwidth violations,
-per-node memory) now lives in :class:`CoreMetricsObserver`; the per-message
-traffic log that the Theorem-10 two-party reduction consumes lives in
+The execution engine (:mod:`repro.engine.engine`) does not hard-code its
+reporting: measurable events -- a message crossing an edge, a memory
+sample, the end of a round or of a whole run -- reach a list of
+:class:`MetricsObserver` instances.  The core accounting (rounds,
+messages, bits, bandwidth violations, per-node memory) lives in
+:class:`CoreMetricsObserver`; the per-message traffic log that the
+Theorem-10 two-party reduction consumes lives in
 :class:`TrafficLogObserver` and :class:`StitchedTrafficObserver`.
+
+Accounting is batched.  A :class:`MetricsPipeline` finds the run's core
+observer when it is built: the transport adds each outbox's messages and
+bits straight into the core observer's metrics, and the round loop keeps
+the memory high-water mark itself.  The per-event hooks ``on_message``
+and ``on_memory_sample`` are called only on the observers that override
+them (traffic logs, user observers), so an un-instrumented run pays for
+no per-message fan-out at all.
 
 Observers are cheap to compose and are the seam where future concerns plug
 in (per-edge congestion heat maps, latency histograms, live dashboards, ...)
@@ -51,29 +59,6 @@ class MetricsObserver:
         budget (in strict mode the transport raises immediately after the
         observers have seen the message).
         """
-
-    def on_broadcast(
-        self,
-        round_number: int,
-        sender: NodeId,
-        targets: Sequence[NodeId],
-        payload: Any,
-        size_bits: int,
-        violation: bool,
-    ) -> None:
-        """Called when the vector transport delivers one shared payload to
-        ``targets`` in a single batch (a ``NodeAlgorithm.broadcast``).
-
-        The default implementation replays the batch as per-target
-        :meth:`on_message` calls in target order, so observers that only
-        override ``on_message`` see byte-identical event streams under
-        every engine; accounting observers override this with an O(1)
-        batched update instead.
-        """
-        for target in targets:
-            self.on_message(
-                round_number, sender, target, payload, size_bits, violation
-            )
 
     def on_memory_sample(self, node: NodeId, memory_bits: int) -> None:
         """Called with each non-``None`` ``memory_bits()`` sample."""
@@ -119,17 +104,63 @@ class MetricsObserver:
         """The edge ``{u, v}`` is down for the duration of ``round_number``."""
 
 
-class MetricsPipeline:
-    """An ordered fan-out of observers.
+def _overrides(observer: Any, hook: str) -> bool:
+    """Whether ``observer`` implements ``hook`` beyond the base no-op."""
+    return hook in getattr(observer, "__dict__", ()) or getattr(
+        type(observer), hook, None
+    ) is not getattr(MetricsObserver, hook)
 
-    The engine drives a pipeline per run; the pipeline owns no accounting
-    state of its own.
+
+def _fan_out(observers: Sequence[Any], hook: str):
+    """One callable for ``hook`` on ``observers``: ``None`` for none, the
+    bound method for one, otherwise a loop calling each in order."""
+    methods = [getattr(observer, hook) for observer in observers]
+    if not methods:
+        return None
+    if len(methods) == 1:
+        return methods[0]
+
+    def fan_out(*args) -> None:
+        for method in methods:
+            method(*args)
+
+    return fan_out
+
+
+class MetricsPipeline:
+    """An ordered fan-out of observers with batched core accounting.
+
+    The engine drives a pipeline per run.  At construction the pipeline
+    finds the run's :class:`CoreMetricsObserver` (an instance of exactly
+    that class) and exposes its ``metrics``: the transport and the round
+    loop add to them directly, per outbox and per run, instead of calling
+    the core observer per event.  ``message_hook`` and ``memory_hook`` are
+    the per-event fan-outs over the *other* observers that override
+    ``on_message`` / ``on_memory_sample`` -- ``None`` when there are none,
+    which is the un-instrumented common case.
+
+    The ``on_*`` methods are the plain per-event fan-out to every
+    observer, the core observer included.
     """
 
-    __slots__ = ("observers",)
+    __slots__ = ("observers", "metrics", "message_hook", "memory_hook")
 
     def __init__(self, observers) -> None:
         self.observers: List[MetricsObserver] = list(observers)
+        core = next(
+            (o for o in self.observers if type(o) is CoreMetricsObserver), None
+        )
+        self.metrics: Optional[ExecutionMetrics] = (
+            None if core is None else core.metrics
+        )
+        others = [o for o in self.observers if o is not core]
+        self.message_hook = _fan_out(
+            [o for o in others if _overrides(o, "on_message")], "on_message"
+        )
+        self.memory_hook = _fan_out(
+            [o for o in others if _overrides(o, "on_memory_sample")],
+            "on_memory_sample",
+        )
 
     def on_run_start(self, network: Any) -> None:
         for observer in self.observers:
@@ -148,24 +179,6 @@ class MetricsPipeline:
             observer.on_message(
                 round_number, sender, receiver, payload, size_bits, violation
             )
-
-    def on_broadcast(
-        self,
-        round_number: int,
-        sender: NodeId,
-        targets: Sequence[NodeId],
-        payload: Any,
-        size_bits: int,
-        violation: bool,
-    ) -> None:
-        for observer in self.observers:
-            observer.on_broadcast(
-                round_number, sender, targets, payload, size_bits, violation
-            )
-
-    def on_memory_sample(self, node: NodeId, memory_bits: int) -> None:
-        for observer in self.observers:
-            observer.on_memory_sample(node, memory_bits)
 
     def on_round_end(self, round_number: int) -> None:
         for observer in self.observers:
@@ -212,7 +225,9 @@ class CoreMetricsObserver(MetricsObserver):
     Collects messages, total bits, the largest single-edge-per-round
     message, bandwidth violations and the per-node memory high-water mark
     into an :class:`repro.congest.metrics.ExecutionMetrics`.  The engine
-    stamps ``metrics.rounds`` itself when the run terminates.
+    stamps ``metrics.rounds`` itself when the run terminates.  Inside the
+    engine the pipeline adds to ``metrics`` in batches and never calls
+    the hooks below; they serve pipelines driven one event at a time.
     """
 
     def __init__(self, bandwidth_limit_bits: Optional[int]) -> None:
@@ -228,21 +243,6 @@ class CoreMetricsObserver(MetricsObserver):
             metrics.max_edge_bits_per_round = size_bits
         if violation:
             metrics.bandwidth_violations += 1
-
-    def on_broadcast(
-        self, round_number, sender, targets, payload, size_bits, violation
-    ) -> None:
-        # The O(1) batched form of ``on_message`` applied ``len(targets)``
-        # times: every counter update is additive, so the batch lands on
-        # exactly the totals the per-message replay would produce.
-        metrics = self.metrics
-        count = len(targets)
-        metrics.messages += count
-        metrics.total_bits += size_bits * count
-        if size_bits > metrics.max_edge_bits_per_round:
-            metrics.max_edge_bits_per_round = size_bits
-        if violation:
-            metrics.bandwidth_violations += count
 
     def on_memory_sample(self, node, memory_bits) -> None:
         if memory_bits > self.metrics.max_node_memory_bits:
@@ -298,15 +298,6 @@ class TrafficLogObserver(MetricsObserver):
     ) -> None:
         self.traffic.append((round_number, sender, receiver, size_bits))
 
-    def on_broadcast(
-        self, round_number, sender, targets, payload, size_bits, violation
-    ) -> None:
-        # Same entries in the same (target) order as the per-message
-        # replay, appended in one ``extend``.
-        self.traffic.extend(
-            (round_number, sender, target, size_bits) for target in targets
-        )
-
 
 class StitchedTrafficObserver(MetricsObserver):
     """Record traffic across *several* runs with sequential round numbering.
@@ -333,16 +324,6 @@ class StitchedTrafficObserver(MetricsObserver):
     ) -> None:
         self.traffic.append(
             (self._offset + round_number, sender, receiver, size_bits)
-        )
-        if round_number > self._phase_last_round:
-            self._phase_last_round = round_number
-
-    def on_broadcast(
-        self, round_number, sender, targets, payload, size_bits, violation
-    ) -> None:
-        rebased = self._offset + round_number
-        self.traffic.extend(
-            (rebased, sender, target, size_bits) for target in targets
         )
         if round_number > self._phase_last_round:
             self._phase_last_round = round_number

@@ -6,23 +6,18 @@ the Figure-2 Evaluation procedure) almost all nodes are idle in almost all
 rounds -- a wavefront of O(1) nodes does the work -- so the dense policy
 spends Theta(n * rounds) scheduler time where Theta(activations) suffices.
 
-Three policies ship:
+Two policies ship, driven by the same round loop:
 
-* :class:`DenseScheduler` -- the seed behaviour, bit-for-bit: every node
-  runs every round, wake requests are no-ops (a node that wants to act at a
-  given round can simply look at ``round_number``).
-* :class:`SparseScheduler` -- event-driven: after round 0 (where every node
-  runs, so initiators can start the algorithm) a node runs only when its
-  inbox is non-empty or it explicitly asked to be woken via the
-  :meth:`repro.congest.node.NodeAlgorithm.wake_next_round` /
+* :class:`SparseScheduler` -- the default, event-driven: after round 0
+  (where every node runs, so initiators can start the algorithm) a node
+  runs only when its inbox is non-empty or it explicitly asked to be woken
+  via the :meth:`repro.congest.node.NodeAlgorithm.wake_next_round` /
   :meth:`~repro.congest.node.NodeAlgorithm.wake_at` API.  Idle nodes are
   never touched.
-* :class:`VectorScheduler` -- dense semantics through the engine's
-  array-indexed round loop (part of the ``numpy`` compute tier, see
-  :mod:`repro.tier`): index-addressed inbox slots and batched broadcast
-  delivery remove the per-node dict probes and per-message accounting
-  calls that dominate message-heavy workloads where the sparse policy
-  cannot help because almost every node is active anyway.
+* :class:`DenseScheduler` -- the seed behaviour, bit-for-bit: every node
+  runs every round, wake requests are no-ops (a node that wants to act at a
+  given round can simply look at ``round_number``).  Kept as the
+  differential reference the sparse policy is tested against.
 
 The sparse policy requires algorithms to be *idle-quiescent*: a node whose
 ``on_round`` is called with an empty inbox and no pending self-wake must
@@ -205,41 +200,10 @@ class SparseScheduler(Scheduler):
         )
 
 
-class VectorScheduler(DenseScheduler):
-    """Dense semantics through the engine's array-indexed round loop.
-
-    Scheduling policy is identical to :class:`DenseScheduler` (every
-    node runs every round, wakes are no-ops), but the ``vectorized``
-    flag routes execution through the engine's vector round loop:
-    node-index-addressed inbox slot arrays instead of label-keyed dicts,
-    per-node state in flat arrays, and batched broadcast delivery
-    through :meth:`repro.engine.transport.Transport.deliver_vector`
-    (one payload measurement and one pipeline event per outbox that
-    shares a payload object, the shape ``NodeAlgorithm.broadcast``
-    produces).  Results, metrics, traffic logs and exceptions are
-    byte-identical to the dense engine -- see
-    ``tests/test_engine_differential.py``.
-
-    The vector engine ships with the ``numpy`` compute tier
-    (:mod:`repro.tier`), so constructing it without numpy installed
-    fails with the tier's actionable :class:`ImportError`.
-    """
-
-    name = "vector"
-    vectorized = True
-
-    def __init__(self) -> None:
-        from repro._numpy import require_numpy
-
-        require_numpy("the 'vector' execution engine")
-        super().__init__()
-
-
 #: The available scheduling policies, by registry name.
 SCHEDULERS = {
     DenseScheduler.name: DenseScheduler,
     SparseScheduler.name: SparseScheduler,
-    VectorScheduler.name: VectorScheduler,
 }
 
 

@@ -37,13 +37,21 @@ Memo cache.  Two tiers, tried hash-first:
 Both tiers share one entry budget (``size_cache_limit``); beyond it new
 payloads are measured without being cached (no eviction churn).
 
-Cache effectiveness is reported through the metrics pipeline without
-touching the hit path: ``measure`` counts only its (rare) misses and
-overflows, and the engine derives per-run hits as ``messages - misses``
-when stamping ``ExecutionMetrics`` -- every delivered message performs
-exactly one measurement, so the identity is exact for leaf runs (and
-clamped for re-entrant nested runs, whose misses land in the outer run's
-delta while their messages do not).
+Delivery measures a payload only when its object differs from the
+previous message's payload in the same outbox: ``NodeAlgorithm.broadcast``
+sends one payload object to every neighbour, so a broadcast costs one
+measurement however many neighbours it reaches.  The outbox's messages,
+bits, largest message and violations are added to the run's
+:class:`repro.congest.metrics.ExecutionMetrics` (``pipeline.metrics``)
+once per outbox; per-message observer hooks run only when some observer
+overrides them (``pipeline.message_hook``).
+
+Cache effectiveness is reported without touching the hit path:
+``measure`` counts only its (rare) misses and overflows, and the engine
+derives per-run hits as ``messages - misses`` when stamping
+``ExecutionMetrics`` -- a message whose payload repeats the previous one
+counts as a hit (clamped for re-entrant nested runs, whose misses land in
+the outer run's delta while their messages do not).
 """
 
 from __future__ import annotations
@@ -64,6 +72,9 @@ DEFAULT_SIZE_CACHE_LIMIT = 65536
 #: (and flat tuples thereof) are fully disambiguated by their class
 #: signature: equal values of the same class always measure the same size.
 _SCALAR_CLASSES = frozenset((int, bool, float, str, type(None)))
+
+#: "No payload measured yet in this outbox" (``None`` is a valid payload).
+_NO_PAYLOAD = object()
 
 
 def _value_signature(payload: Any):
@@ -129,7 +140,6 @@ class Transport:
         #: between runs are honoured.
         self._indexed: Optional[IndexedGraph] = None
         self._neighbor_sets: Dict[NodeId, Any] = {}
-        self._index_of: Dict[NodeId, int] = {}
         self.bind_topology(graph.compile())
         # Cache-effectiveness counters, cumulative across the network's
         # runs; the engine stamps per-run deltas into the run's metrics.
@@ -152,7 +162,6 @@ class Transport:
         if indexed is not self._indexed:
             self._indexed = indexed
             self._neighbor_sets = indexed.neighbor_sets()
-            self._index_of = indexed.index_of
 
     def measure(self, payload: Any) -> int:
         """Size of ``payload`` in bits, memoised across the network's runs."""
@@ -241,35 +250,39 @@ class Transport:
         inboxes: only nodes that actually receive something get an entry.
         ``inbox_pool`` is an optional free list of empty dicts the engine
         recycles across rounds; newly needed inboxes are taken from it
-        before being allocated.
+        before being allocated.  The outbox's totals are added to
+        ``pipeline.metrics`` after its last message; ``pipeline.message_hook``
+        sees every message, before a strict bandwidth violation raises.
         """
-        neighbors = self._neighbor_sets.get(sender)
+        neighbors = self._neighbor_sets.get(sender, ())
         budget = self.bandwidth_bits
         measure = self.measure
-        on_message = pipeline.on_message
+        hook = pipeline.message_hook
         next_inboxes_get = next_inboxes.get
+        last = _NO_PAYLOAD
+        largest = bits = violations = 0
         for target, payload in outbox.items():
-            if neighbors is None or target not in neighbors:
-                raise ProtocolError(
-                    f"node {sender!r} tried to send to non-neighbour {target!r}"
-                )
-            size = measure(payload)
-            violation = size > budget
-            on_message(round_number, sender, target, payload, size, violation)
-            if violation and self.strict_bandwidth:
-                raise BandwidthExceededError(
-                    f"round {round_number}: node {sender!r} sent "
-                    f"{size} bits to {target!r} "
-                    f"(budget {budget} bits)"
-                )
+            if target not in neighbors:
+                raise _non_neighbour(sender, target)
+            if payload is not last:
+                last = payload
+                size = measure(payload)
+                violation = size > budget
+                if size > largest:
+                    largest = size
+            bits += size
+            if hook is not None:
+                hook(round_number, sender, target, payload, size, violation)
+            if violation:
+                violations += 1
+                if self.strict_bandwidth:
+                    raise _over_budget(round_number, sender, target, size, budget)
             inbox = next_inboxes_get(target)
             if inbox is None:
-                if inbox_pool:
-                    inbox = inbox_pool.pop()
-                else:
-                    inbox = {}
+                inbox = inbox_pool.pop() if inbox_pool else {}
                 next_inboxes[target] = inbox
             inbox[sender] = payload
+        _account(pipeline.metrics, len(outbox), bits, largest, violations)
 
     # ------------------------------------------------------------------
     def deliver_faulty(
@@ -286,7 +299,7 @@ class Transport:
         """:meth:`deliver` with the fault plan consulted per message.
 
         The clean prefix is identical to :meth:`deliver` -- neighbour
-        contract, measurement, :meth:`MetricsPipeline.on_message`, strict
+        contract, measurement, accounting, ``message_hook``, strict
         bandwidth -- because a faulty network does not change what a node
         *sends*: every message consumes bandwidth and appears in traffic
         logs whether or not it arrives.  After accounting, the plan
@@ -297,28 +310,32 @@ class Transport:
         ``pending`` (keyed by absolute arrival round -- the engine merges
         it into the inboxes of that round) instead of ``next_inboxes``.
         """
-        neighbors = self._neighbor_sets.get(sender)
+        neighbors = self._neighbor_sets.get(sender, ())
         budget = self.bandwidth_bits
         measure = self.measure
-        on_message = pipeline.on_message
+        hook = pipeline.message_hook
         next_inboxes_get = next_inboxes.get
         edge_down = plan.edge_down
         message_fate = plan.message_fate
         node_down = plan.node_down
+        last = _NO_PAYLOAD
+        largest = bits = violations = 0
         for target, payload in outbox.items():
-            if neighbors is None or target not in neighbors:
-                raise ProtocolError(
-                    f"node {sender!r} tried to send to non-neighbour {target!r}"
-                )
-            size = measure(payload)
-            violation = size > budget
-            on_message(round_number, sender, target, payload, size, violation)
-            if violation and self.strict_bandwidth:
-                raise BandwidthExceededError(
-                    f"round {round_number}: node {sender!r} sent "
-                    f"{size} bits to {target!r} "
-                    f"(budget {budget} bits)"
-                )
+            if target not in neighbors:
+                raise _non_neighbour(sender, target)
+            if payload is not last:
+                last = payload
+                size = measure(payload)
+                violation = size > budget
+                if size > largest:
+                    largest = size
+            bits += size
+            if hook is not None:
+                hook(round_number, sender, target, payload, size, violation)
+            if violation:
+                violations += 1
+                if self.strict_bandwidth:
+                    raise _over_budget(round_number, sender, target, size, budget)
             if edge_down(round_number, sender, target):
                 pipeline.on_message_dropped(round_number, sender, target, "churn")
                 continue
@@ -339,101 +356,32 @@ class Transport:
                 continue
             inbox = next_inboxes_get(target)
             if inbox is None:
-                if inbox_pool:
-                    inbox = inbox_pool.pop()
-                else:
-                    inbox = {}
+                inbox = inbox_pool.pop() if inbox_pool else {}
                 next_inboxes[target] = inbox
             inbox[sender] = payload
+        _account(pipeline.metrics, len(outbox), bits, largest, violations)
 
-    # ------------------------------------------------------------------
-    def deliver_vector(
-        self,
-        round_number: int,
-        sender: NodeId,
-        outbox: Dict[NodeId, Any],
-        next_slots: List[Optional[Dict[NodeId, Any]]],
-        touched: List[int],
-        pipeline: MetricsPipeline,
-        inbox_pool: List[Dict[NodeId, Any]],
-    ) -> None:
-        """Index-addressed delivery with a batched broadcast fast path.
 
-        The vector engine's counterpart of :meth:`deliver`:
-        ``next_slots`` is a node-index-addressed inbox array (``None`` =
-        no messages yet) and ``touched`` records which indices gained an
-        inbox this round.  Observable behaviour -- metrics, traffic
-        entries and their order, exceptions -- is byte-identical to
-        :meth:`deliver`.
+def _account(metrics, messages: int, bits: int, largest: int, violations: int) -> None:
+    """Add one outbox's totals to the run's metrics (if it has any)."""
+    if metrics is None:
+        return
+    metrics.messages += messages
+    metrics.total_bits += bits
+    if largest > metrics.max_edge_bits_per_round:
+        metrics.max_edge_bits_per_round = largest
+    metrics.bandwidth_violations += violations
 
-        Fast path: ``NodeAlgorithm.broadcast`` reuses *one* payload
-        object for every neighbour, so an outbox whose payloads are all
-        the same object (by identity) and whose targets are all valid
-        neighbours is measured **once** and reported to the pipeline as
-        a single :meth:`MetricsPipeline.on_broadcast` batch.  Outboxes
-        with per-target payloads, a non-neighbour target or a strict
-        bandwidth overrun take the exact per-message path below (nothing
-        has been observed at that point, so the replay starts clean).
-        """
-        if not outbox:
-            return
-        neighbors = self._neighbor_sets.get(sender)
-        budget = self.bandwidth_bits
-        index_of = self._index_of
-        shared = None
-        if neighbors is not None:
-            iterator = iter(outbox.values())
-            shared = next(iterator)
-            for payload in iterator:
-                if payload is not shared:
-                    shared = None
-                    break
-        if shared is not None:
-            valid = True
-            for target in outbox:
-                if target not in neighbors:
-                    valid = False
-                    break
-            if valid:
-                size = self.measure(shared)
-                violation = size > budget
-                if not (violation and self.strict_bandwidth):
-                    targets = list(outbox)
-                    pipeline.on_broadcast(
-                        round_number, sender, targets, shared, size, violation
-                    )
-                    for target in targets:
-                        index = index_of[target]
-                        inbox = next_slots[index]
-                        if inbox is None:
-                            inbox = inbox_pool.pop() if inbox_pool else {}
-                            next_slots[index] = inbox
-                            touched.append(index)
-                        inbox[sender] = shared
-                    return
 
-        # Exact per-message path: same event order and exceptions as
-        # :meth:`deliver`, writing into index slots instead of a dict.
-        measure = self.measure
-        on_message = pipeline.on_message
-        for target, payload in outbox.items():
-            if neighbors is None or target not in neighbors:
-                raise ProtocolError(
-                    f"node {sender!r} tried to send to non-neighbour {target!r}"
-                )
-            size = measure(payload)
-            violation = size > budget
-            on_message(round_number, sender, target, payload, size, violation)
-            if violation and self.strict_bandwidth:
-                raise BandwidthExceededError(
-                    f"round {round_number}: node {sender!r} sent "
-                    f"{size} bits to {target!r} "
-                    f"(budget {budget} bits)"
-                )
-            index = index_of[target]
-            inbox = next_slots[index]
-            if inbox is None:
-                inbox = inbox_pool.pop() if inbox_pool else {}
-                next_slots[index] = inbox
-                touched.append(index)
-            inbox[sender] = payload
+def _non_neighbour(sender: NodeId, target: NodeId) -> ProtocolError:
+    return ProtocolError(f"node {sender!r} tried to send to non-neighbour {target!r}")
+
+
+def _over_budget(
+    round_number: int, sender: NodeId, target: NodeId, size: int, budget: int
+) -> BandwidthExceededError:
+    return BandwidthExceededError(
+        f"round {round_number}: node {sender!r} sent "
+        f"{size} bits to {target!r} "
+        f"(budget {budget} bits)"
+    )

@@ -28,7 +28,7 @@ sequential RNG stream: each decision is a pure function of the fault seed
 and the event's coordinates (round, sender, receiver / node / edge),
 computed with the same CRC idiom as :func:`repro.runner.batch.task_seed`.
 This makes faulty executions independent of *evaluation order* -- the
-dense, sparse and vector engines consult the plan in different orders yet
+dense and sparse engines consult the plan in different orders yet
 produce identical executions -- and independent of
 ``PYTHONHASHSEED``.  The fault seed itself is derived from the network
 seed, the model's :attr:`FaultModel.seed` and a per-engine run counter,

@@ -121,7 +121,8 @@ class ExperimentService:
         Running worker subprocesses receive SIGTERM; their cooperative
         hook stops them between task completions and they exit with the
         *checkpointed* code, which requeues the job (durably) so the
-        next daemon continues it from the store.
+        next daemon continues it from the store.  Raises ``RuntimeError``
+        if a pool thread is still alive after ``timeout``.
         """
         self._stop.set()
         self._wake.set()
@@ -136,6 +137,12 @@ class ExperimentService:
             thread.join(timeout=timeout)
         if self.coordinator is not None:
             self.coordinator.stop()
+        alive = [thread.name for thread in self._threads if thread.is_alive()]
+        if alive:
+            raise RuntimeError(
+                f"service worker thread(s) still running after {timeout:g}s: "
+                + ", ".join(alive)
+            )
 
     # -- submission / queries ------------------------------------------
     def submit(self, tenant: str, request: GridRequest) -> JobRecord:

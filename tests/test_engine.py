@@ -22,7 +22,10 @@ from repro.congest.network import Network
 from repro.congest.node import NodeAlgorithm
 from repro.engine import (
     ENGINE_NAMES,
+    CoreMetricsObserver,
     DenseScheduler,
+    MetricsObserver,
+    MetricsPipeline,
     RunLogObserver,
     SparseScheduler,
     StitchedTrafficObserver,
@@ -128,9 +131,9 @@ class _QueueDrainer(NodeAlgorithm):
 
 
 class TestEngineSelection:
-    def test_default_engine_is_dense(self):
+    def test_default_engine_is_sparse(self):
         network = Network(generators.path_graph(3))
-        assert network.engine_name == "dense"
+        assert network.engine_name == "sparse"
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_explicit_engine(self, engine):
@@ -512,3 +515,126 @@ class TestObservers:
         # Only the outer run is reported: one run, one message.
         assert log.runs == 1
         assert log.messages == 1
+
+
+class _Gossip(NodeAlgorithm):
+    """Exercises every delivery shape and logs what it hands the engine.
+
+    Round 0: every node broadcasts one shared payload.  A node hearing
+    its first message answers each neighbour with a per-target payload,
+    then stops.  Odd nodes report memory; ``log`` records every outbox
+    and every non-``None`` memory sample in call order.
+    """
+
+    log = None
+
+    def on_round(self, round_number, inbox):
+        if round_number == 0:
+            outbox = self.broadcast(("hi", self.node_id))
+        elif inbox and not self.finished:
+            self.finished = True
+            outbox = {nbr: (self.node_id, nbr, len(inbox)) for nbr in self.neighbors}
+        else:
+            outbox = {}
+        self.log.append(("out", round_number, self.node_id, dict(outbox)))
+        return outbox
+
+    def memory_bits(self):
+        if self.node_id % 2 == 0:
+            return None
+        self.log.append(("mem", self.node_id, 3 * self.node_id))
+        return 3 * self.node_id
+
+
+class _EventRecorder(MetricsObserver):
+    def __init__(self):
+        self.messages = []
+        self.samples = []
+
+    def on_message(self, round_number, sender, receiver, payload, size_bits, violation):
+        self.messages.append((round_number, sender, receiver, payload, size_bits, violation))
+
+    def on_memory_sample(self, node, memory_bits):
+        self.samples.append((node, memory_bits))
+
+
+class _MemoryOnly(MetricsObserver):
+    def __init__(self):
+        self.samples = []
+
+    def on_memory_sample(self, node, memory_bits):
+        self.samples.append((node, memory_bits))
+
+
+class TestBatchedAccounting:
+    """Core accounting is batched per outbox and per run; per-event hooks
+    still reach every observer that overrides them, unchanged."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_user_observers_see_every_event_in_order(self, engine):
+        graph = generators.clique_chain(3, 4)
+        network = Network(graph, engine=engine, bandwidth_bits=20, strict_bandwidth=False)
+        recorder, memory_only = _EventRecorder(), _MemoryOnly()
+        network.add_observer(recorder)
+        network.add_observer(memory_only)
+        _Gossip.log = log = []
+        result = network.run(_factory(_Gossip))
+
+        expected_messages = [
+            (round_number, sender, target, payload,
+             message_size_bits(payload), message_size_bits(payload) > 20)
+            for kind, round_number, sender, outbox in
+            (entry for entry in log if entry[0] == "out")
+            for target, payload in outbox.items()
+        ]
+        expected_samples = [entry[1:] for entry in log if entry[0] == "mem"]
+        assert recorder.messages == expected_messages
+        assert recorder.samples == memory_only.samples == expected_samples
+
+        metrics = result.metrics
+        assert metrics.messages == len(expected_messages)
+        assert metrics.total_bits == sum(event[4] for event in expected_messages)
+        assert metrics.max_edge_bits_per_round == max(e[4] for e in expected_messages)
+        assert metrics.bandwidth_violations == sum(e[5] for e in expected_messages)
+        assert metrics.bandwidth_violations > 0
+        assert metrics.max_node_memory_bits == max(m for _, m in expected_samples)
+
+    def test_instance_attribute_hook_is_called(self):
+        network = Network(generators.path_graph(2))
+        observer = MetricsObserver()
+        seen = []
+        observer.on_message = lambda *event: seen.append(event)
+        network.add_observer(observer)
+        network.run(_factory(_TwoPhasePing))
+        assert seen == [(0, 0, 1, ("p",), message_size_bits(("p",)), False)]
+
+    def test_run_log_only_makes_no_per_message_fan_out(self, monkeypatch):
+        calls = []
+        record = lambda *args: calls.append(args)
+        for owner in (MetricsObserver, CoreMetricsObserver):
+            monkeypatch.setattr(owner, "on_message", record)
+            monkeypatch.setattr(owner, "on_memory_sample", record)
+        monkeypatch.setattr(MetricsPipeline, "on_message", record)
+        graph = generators.random_connected_gnp(30, p=0.15, seed=4)
+        network = Network(graph)
+        log = RunLogObserver()
+        network.add_observer(log)
+        tree = run_bfs_tree(network, 0)
+        monkeypatch.undo()
+        reference = run_bfs_tree(Network(graph, engine="dense"), 0)
+        assert calls == []
+        assert log.runs == 1 and log.messages == tree.metrics.messages > 0
+        assert tree.metrics == reference.metrics
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_strict_violation_raises_after_observers_saw_it(self, engine):
+        network = Network(generators.path_graph(3), bandwidth_bits=16, engine=engine)
+        recorder = _EventRecorder()
+        network.add_observer(recorder)
+        with pytest.raises(BandwidthExceededError):
+            network.run(_factory(_Chatterbox))
+        # Node 0's only message is the first send of the run: observed,
+        # flagged, and nothing after it.
+        assert recorder.messages == [
+            (0, 0, 1, "x" * 4096, message_size_bits("x" * 4096), True)
+        ]

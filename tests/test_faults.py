@@ -35,6 +35,7 @@ from repro.analysis.sweep import run_sweep_grid, sweep_task_key
 from repro.congest.errors import CongestSimulationError, RoundLimitExceededError
 from repro.congest.network import Network
 from repro.congest.node import NodeAlgorithm
+from repro.engine import set_default_engine
 from repro.faults import (
     FAULT_MODELS,
     NULL_FAULT_MODEL,
@@ -49,8 +50,9 @@ from repro.faults import (
 from repro.graphs import generators
 from repro.runner import GraphSpec, resolve_algorithms
 from repro.store import ExperimentStore, collect_provenance, record_from_dict, record_to_dict
+from repro.store.export import render_records
 
-ENGINES = ("dense", "sparse", "vector")
+ENGINES = ("dense", "sparse")
 
 #: The bench-calibrated loss scenario: at 10% loss the single-shot
 #: 2-approximation reliably times out on this graph while the retrying
@@ -259,10 +261,10 @@ class TestNullModelIdentity:
         previous = tier.set_default_tier("numpy")
         try:
             clean = run_classical_two_approximation(
-                Network(graph, seed=3, engine="vector")
+                Network(graph, seed=3, engine="sparse")
             )
             null = run_classical_two_approximation(
-                Network(graph, seed=3, engine="vector", fault_model=FaultModel())
+                Network(graph, seed=3, engine="sparse", fault_model=FaultModel())
             )
         finally:
             tier.set_default_tier(previous)
@@ -359,7 +361,7 @@ class TestDelayFaults:
                     result.metrics.delayed_messages,
                 )
             )
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0] == outcomes[1]
 
 
 class TestCrashFaults:
@@ -471,6 +473,24 @@ class TestSweepIntegration:
         loaded = record_from_dict(legacy)
         assert loaded == records[0]
 
+    def test_permanent_crash_grid_identical_across_engines(self):
+        """Stuck runs fail with the fault-timeout error on every engine:
+        the sparse engine's early stop must not change the records."""
+        crashes = FaultModel(crash=0.4, crash_window=4, timeout=64)
+        specs = self.SPECS + (GraphSpec(family="cycle", num_nodes=16, seed=1),)
+        exports = {}
+        for engine in ENGINES:
+            previous = set_default_engine(engine)
+            try:
+                records = run_sweep_grid(
+                    specs, self._algorithms(), base_seed=0, fault_model=crashes
+                )
+            finally:
+                set_default_engine(previous)
+            exports[engine] = render_records(records, "jsonl")
+        assert exports["dense"] == exports["sparse"]
+        assert "RoundLimitExceededError" in exports["dense"]
+
     def test_provenance_stamps_fault_model(self):
         assert collect_provenance()["fault_model"] == "none"
         set_default_fault_model("lossy")
@@ -498,7 +518,7 @@ model = FaultModel(loss=0.1, delay=0.1, max_delay=2, timeout=256)
 graph = generators.family_for_sweep("clique_chain", 20, seed=3)
 
 runs = {}
-for engine in ("dense", "sparse", "vector"):
+for engine in ("dense", "sparse"):
     result = run_resilient_two_approximation(
         Network(graph, seed=7, engine=engine, fault_model=model)
     )
@@ -548,8 +568,8 @@ def test_faulty_runs_identical_across_hash_seeds():
     first = run("1")
     second = run("4242")
     assert first["hash_randomised"] == second["hash_randomised"] == 1
-    # The three engines must agree inside each subprocess as well.
-    assert first["runs"]["dense"] == first["runs"]["sparse"] == first["runs"]["vector"]
+    # The engines must agree inside each subprocess as well.
+    assert first["runs"]["dense"] == first["runs"]["sparse"]
     for key in first:
         if key == "hash_randomised":
             continue
