@@ -16,7 +16,6 @@ primitives used throughout the library.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -105,8 +104,7 @@ class _BFSNode(NodeAlgorithm):
         # Parent pointer, distance counter and one flag: O(log n) bits.  The
         # children list is part of the node's (classical) knowledge of its
         # incident tree edges, which the CONGEST model grants for free.
-        log_n = max(1, math.ceil(math.log2(self.num_nodes + 1)))
-        return 3 * log_n
+        return 3 * self.log_n
 
 
 def run_bfs_tree(network: Network, root: NodeId) -> BFSTreeResult:

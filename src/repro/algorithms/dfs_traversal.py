@@ -25,6 +25,12 @@ The traversal can optionally be restricted to a *subtree* of member nodes
 that is closed under taking parents (e.g. the ball ``R`` of the closest
 ``s`` nodes to ``w`` used by the approximation algorithm): non-member
 children are simply skipped by the local rule.
+
+Memorylessness also means that every window is a slice of one cyclic
+sequence.  :class:`CyclicTour` builds that sequence once per tree and
+member set and reads each window off it in ``O(window)``; it is the
+sequential reference the quantum framework's "reference" oracle and the
+test-suite use in place of the simulation.
 """
 
 from __future__ import annotations
@@ -167,11 +173,8 @@ class _EulerTourNode(NodeAlgorithm):
         return self.visit_time
 
     def memory_bits(self) -> Optional[int]:
-        import math
-
-        log_n = max(1, math.ceil(math.log2(self.num_nodes + 1)))
         # Visit time, parent pointer, child cursor: O(log n) bits.
-        return 4 * log_n
+        return 4 * self.log_n
 
 
 def _run_tour(
@@ -241,6 +244,56 @@ def run_windowed_euler_tour(
     return _run_tour(network, tree, start, budget, member)
 
 
+class CyclicTour:
+    """The cyclic DFS traversal of ``tree`` restricted to ``members``.
+
+    ``entries[k]`` is the node entered top-down by step ``k`` of the tour
+    from the root (``None`` for an up-step); ``entries[0]`` is the root,
+    re-entered by the closing step ``2 (m - 1)``.  The token rule is
+    memoryless, so a traversal from ``u`` reads the entries after ``u``'s
+    own, cyclically: each :meth:`window` costs ``O(window)``, not ``O(n)``.
+    """
+
+    def __init__(
+        self, tree: BFSTreeResult, members: Optional[Set[NodeId]] = None
+    ) -> None:
+        member = _membership(tree, members)
+        entries: List[Optional[NodeId]] = [tree.root]
+        stack = [iter(tree.children_of(tree.root))]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+                entries.append(None)
+            elif member(child):
+                entries.append(child)
+                stack.append(iter(tree.children_of(child)))
+        # Drop the closing up-step (it is ``entries[0]``) and the root's pop.
+        self._length = len(entries) - 2
+        del entries[max(1, self._length):]
+        self._position = {node: k for k, node in enumerate(entries) if node is not None}
+        self._cycle = entries + entries
+
+    def window(self, start: NodeId, window: Optional[int] = None) -> Dict[NodeId, int]:
+        """Visit times of ``window`` steps from ``start`` (``None``: a full
+        tour), exactly as the distributed token traversal numbers them."""
+        position = self._position.get(start)
+        if position is None:
+            raise ValueError(f"start node {start!r} is not a member of the subtree")
+        if window is not None and window < 0:
+            raise ValueError(f"window must be >= 0, got {window}")
+        # Step ``length`` would only re-enter ``start``, so stop short of it.
+        steps = max(0, self._length - 1)
+        if window is not None:
+            steps = min(window, steps)
+        span = self._cycle[position + 1:position + 1 + steps]
+        visit_time: Dict[NodeId, int] = {start: 0}
+        visit_time.update(
+            (node, k) for k, node in enumerate(span, 1) if node is not None
+        )
+        return visit_time
+
+
 def sequential_euler_tour(
     tree: BFSTreeResult,
     start: NodeId,
@@ -251,63 +304,11 @@ def sequential_euler_tour(
 
     Reproduces exactly the numbering that the distributed token traversal
     computes -- same child ordering, same wrap-around rule -- but without
-    running the CONGEST simulation.  Used by the test-suite as an oracle and
-    by the quantum framework's fast "reference" evaluation mode.
-
-    ``window=None`` performs the full tour (``2 (m - 1)`` steps over the
-    ``m`` member nodes); otherwise only ``window`` steps are performed.
+    running the CONGEST simulation.  ``window=None`` performs the full tour
+    (``2 (m - 1)`` steps over the ``m`` member nodes).  Callers querying
+    many windows of one tree build one :class:`CyclicTour` instead.
     """
-    member = _membership(tree, members)
-    if not member(start):
-        raise ValueError(f"start node {start!r} is not a member of the subtree")
-    children: Dict[NodeId, Tuple[NodeId, ...]] = {
-        node: tuple(child for child in tree.children_of(node) if member(child))
-        for node in tree.parent
-        if member(node)
-    }
-    member_count = len(children)
-    budget = 2 * (member_count - 1) if member_count > 1 else 0
-    if window is not None:
-        if window < 0:
-            raise ValueError(f"window must be >= 0, got {window}")
-        budget = min(window, budget)
-
-    visit_time: Dict[NodeId, int] = {start: 0}
-    current = start
-    came_from: Optional[NodeId] = None
-    for step in range(budget):
-        child_list = children[current]
-        parent = tree.parent[current]
-        if came_from is None or came_from == parent:
-            target = child_list[0] if child_list else _up_target(parent, child_list)
-        else:
-            index = child_list.index(came_from)
-            if index + 1 < len(child_list):
-                target = child_list[index + 1]
-            else:
-                target = _up_target(parent, child_list)
-        if target is None:
-            break
-        arrived_top_down = tree.parent[target] is not None and tree.parent[target] == current
-        wrapped_to_root = (
-            tree.parent[target] is None
-            and children[target]
-            and current == children[target][-1]
-        )
-        came_from, current = current, target
-        if (arrived_top_down or wrapped_to_root) and current not in visit_time:
-            visit_time[current] = step + 1
-    return visit_time
-
-
-def _up_target(
-    parent: Optional[NodeId], child_list: Tuple[NodeId, ...]
-) -> Optional[NodeId]:
-    if parent is not None:
-        return parent
-    if child_list:
-        return child_list[0]
-    return None
+    return CyclicTour(tree, members).window(start, window)
 
 
 def _membership(

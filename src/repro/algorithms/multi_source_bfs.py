@@ -19,7 +19,6 @@ optimization phase.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -93,8 +92,7 @@ class _MultiSourceBFSNode(NodeAlgorithm):
         return dict(self.known)
 
     def memory_bits(self) -> Optional[int]:
-        log_n = max(1, math.ceil(math.log2(self.num_nodes + 1)))
-        return max(1, 2 * len(self.known)) * log_n
+        return max(1, 2 * len(self.known)) * self.log_n
 
 
 def run_multi_source_bfs(

@@ -29,7 +29,6 @@ network is reliable), costing a constant factor in messages and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -115,8 +114,7 @@ class _ResilientBFSNode(NodeAlgorithm):
     def memory_bits(self) -> Optional[int]:
         # Distance, attempt counter and retry round: O(log n) bits (the
         # retry round is O(log(rounds)) = O(log n) for this procedure).
-        log_n = max(1, math.ceil(math.log2(self.num_nodes + 1)))
-        return 3 * log_n
+        return 3 * self.log_n
 
 
 def run_resilient_bfs(

@@ -38,7 +38,6 @@ paper's scheduling (Section "Design choices" of DESIGN.md):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -143,8 +142,7 @@ class _WaveNode(NodeAlgorithm):
 
     def memory_bits(self) -> Optional[int]:
         # t_v, d_v, the schedule entry and one in-flight message: O(log n).
-        log_n = max(1, math.ceil(math.log2(self.num_nodes + 1)))
-        return 6 * log_n
+        return 6 * self.log_n
 
 
 def run_distance_waves(

@@ -29,6 +29,7 @@ no-ops, so calling them is always safe.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -67,6 +68,9 @@ class NodeAlgorithm:
         self.node_id = node_id
         self.neighbors: List[NodeId] = list(neighbors)
         self.num_nodes = num_nodes
+        #: ``ceil(log2(n + 1))`` (at least 1): the bit width of one node
+        #: identifier or distance, the unit of ``memory_bits`` estimates.
+        self.log_n = max(1, math.ceil(math.log2(num_nodes + 1)))
         self.rng = rng if rng is not None else random.Random(0)
         self.finished = False
         self._wake_requests: List[Optional[int]] = []

@@ -27,12 +27,13 @@ from repro.algorithms.diameter_approx import (
     HPRWPreparationResult,
     run_hprw_preparation,
 )
+from repro.algorithms.dfs_traversal import CyclicTour
 from repro.algorithms.eccentricity import run_eccentricity
 from repro.algorithms.evaluation import run_evaluation_procedure
 from repro.algorithms.leader_election import run_leader_election
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
-from repro.core.coverage import popt_lower_bound, window_set
+from repro.core.coverage import popt_lower_bound
 from repro.graphs.graph import Graph, NodeId
 from repro.qcongest.framework import (
     DistributedOptimizationResult,
@@ -86,6 +87,7 @@ class BallEccentricityProblem(DistributedSearchProblem):
         self._setup_cost: Optional[ExecutionMetrics] = None
         self._reference_cost: Optional[ExecutionMetrics] = None
         self._reference_eccentricities: Optional[Dict[NodeId, int]] = None
+        self._tour: Optional[CyclicTour] = None
         # See ExactDiameterProblem: only end-to-end simulation evaluates
         # branches independently; the reference oracle shares hidden state.
         self.supports_parallel_evaluation = oracle_mode == ORACLE_CONGEST
@@ -125,12 +127,11 @@ class BallEccentricityProblem(DistributedSearchProblem):
             )
             return float(evaluation.value), evaluation.metrics
         eccentricities = self._eccentricities()
-        window = window_set(
-            self.preparation.w_tree,
-            item,
-            2 * self.window_parameter,
-            members=self.preparation.ball,
-        )
+        if self._tour is None:
+            self._tour = CyclicTour(
+                self.preparation.w_tree, members=self.preparation.ball
+            )
+        window = self._tour.window(item, 2 * self.window_parameter)
         value = float(max(eccentricities[node] for node in window))
         return value, self._representative_cost()
 
@@ -186,7 +187,11 @@ def quantum_three_halves_diameter(
     """Compute a 3/2-approximation of the diameter (Theorem 4 / Figure 3).
 
     When ``s`` is not given it is set to the balancing value
-    ``Theta(n^{2/3} / d^{1/3})`` with ``d = ecc(leader)``.  ``runner``
+    ``Theta(n^{2/3} / d^{1/3})`` with ``d = ecc(leader)``.  ``oracle_mode``
+    is ``"congest"`` (every branch runs the Figure-2 procedure on the
+    simulator) or ``"reference"`` (identical values from the sequential
+    oracle: one ``O(n)`` :class:`CyclicTour` of ``BFS(w)`` restricted to
+    ``R``, then ``O(window)`` per evaluation).  ``runner``
     optionally dispatches the quantum phase's independent branch
     evaluations through a process pool in ``"congest"`` oracle mode; the
     result is identical to a serial run.  ``backend`` selects the quantum

@@ -9,8 +9,10 @@ eccentricity ``D``, the mass ``P_opt`` of maximisers of ``f`` is at least
 ``d / (2 n)``, which is what buys the ``sqrt(n / d)``-iteration (hence
 ``sqrt(n d)``-round) bound of Theorem 1.
 
-This module computes the window sets exactly (via the same sequential Euler
-tour the distributed traversal follows) and provides the empirical
+Every window is a slice of one cyclic DFS traversal, so the functions here
+build one :class:`~repro.algorithms.dfs_traversal.CyclicTour` (the same
+numbering the distributed token follows) and read each ``S(u0)`` off it in
+``O(window)``.  They give the exact window sets and the empirical
 counterparts of the Lemma-1 bound used by the tests and the ablation
 benchmark.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Set
 
 from repro.algorithms.bfs import BFSTreeResult
-from repro.algorithms.dfs_traversal import sequential_euler_tour
+from repro.algorithms.dfs_traversal import CyclicTour
 from repro.graphs.graph import Graph, NodeId
 
 
@@ -34,7 +36,7 @@ def window_set(
 
     ``window`` is the number of traversal steps (``2 d`` in the paper).
     """
-    return set(sequential_euler_tour(tree, u0, window=window, members=members))
+    return set(CyclicTour(tree, members).window(u0, window))
 
 
 def coverage_probability(
@@ -48,12 +50,9 @@ def coverage_probability(
     Lemma 1 guarantees this is at least ``d / (2 n)`` when
     ``window = 2 d``.
     """
+    tour = CyclicTour(tree, members)
     candidates = list(members) if members is not None else list(tree.parent)
-    hits = sum(
-        1
-        for u0 in candidates
-        if target in window_set(tree, u0, window, members=members)
-    )
+    hits = sum(1 for u0 in candidates if target in tour.window(u0, window))
     return hits / len(candidates)
 
 
@@ -85,10 +84,9 @@ def empirical_optimum_mass(
         relevant = eccentricities
     target_value = max(relevant.values())
     best_nodes = {node for node, value in relevant.items() if value == target_value}
+    tour = CyclicTour(tree, members)
     candidates = list(members) if members is not None else list(tree.parent)
     hits = sum(
-        1
-        for u0 in candidates
-        if window_set(tree, u0, window, members=members) & best_nodes
+        1 for u0 in candidates if not best_nodes.isdisjoint(tour.window(u0, window))
     )
     return hits / len(candidates)

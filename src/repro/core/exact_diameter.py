@@ -26,9 +26,10 @@ Two oracle modes control how branch values ``f(u0)`` are obtained:
 * ``"congest"`` runs the Figure-2 Evaluation procedure on the simulator for
   every distinct ``u0`` the schedule touches (slow but end-to-end);
 * ``"reference"`` computes the same values from the sequential distance
-  oracle (after verifying the window sets with the same Euler tour), and
-  measures the per-call cost from one representative CONGEST run.  The two
-  modes return identical values; the test-suite checks this.
+  oracle, reading each window set off one cyclic Euler tour of
+  ``BFS(leader)`` (the traversal the token follows), and measures the
+  per-call cost from one representative CONGEST run.  The two modes return
+  identical values; the test-suite checks this.
 """
 
 from __future__ import annotations
@@ -39,12 +40,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.algorithms.bfs import BFSTreeResult, run_bfs_tree
 from repro.algorithms.broadcast import run_tree_aggregate_max, run_tree_broadcast
+from repro.algorithms.dfs_traversal import CyclicTour
 from repro.algorithms.eccentricity import run_eccentricity
 from repro.algorithms.evaluation import run_evaluation_procedure
 from repro.algorithms.leader_election import run_leader_election
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
-from repro.core.coverage import popt_lower_bound, window_set
+from repro.core.coverage import popt_lower_bound
 from repro.graphs.graph import Graph, NodeId
 from repro.qcongest.framework import (
     DistributedOptimizationResult,
@@ -109,6 +111,7 @@ class ExactDiameterProblem(DistributedSearchProblem):
         self._given_leader = leader
         self.leader: Optional[NodeId] = None
         self.tree: Optional[BFSTreeResult] = None
+        self._tour: Optional[CyclicTour] = None
         self.window_parameter: int = 0
         self._reference_eccentricities: Optional[Dict[NodeId, int]] = None
         self._reference_cost: Optional[ExecutionMetrics] = None
@@ -194,7 +197,9 @@ class ExactDiameterProblem(DistributedSearchProblem):
             )
             return float(evaluation.value), evaluation.metrics
         eccentricities = self._eccentricities()
-        window = window_set(self.tree, u0, 2 * self.window_parameter)
+        if self._tour is None:
+            self._tour = CyclicTour(self.tree)
+        window = self._tour.window(u0, 2 * self.window_parameter)
         value = float(max(eccentricities[node] for node in window))
         return value, self._representative_cost()
 
@@ -256,7 +261,9 @@ def quantum_exact_diameter(
         Section 3.1).
     oracle_mode:
         ``"congest"`` (end-to-end simulation) or ``"reference"`` (identical
-        values from the sequential oracle, for large sweeps).
+        values from the sequential oracle, for large sweeps).  Reference
+        mode builds one ``O(n)`` :class:`CyclicTour` of ``BFS(leader)`` and
+        then costs ``O(window)`` per windowed evaluation.
     delta:
         Target failure probability of the optimization.
     seed:

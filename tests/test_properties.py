@@ -9,7 +9,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.bfs import run_bfs_tree
-from repro.algorithms.dfs_traversal import sequential_euler_tour
+from repro.algorithms.dfs_traversal import (
+    CyclicTour,
+    run_full_euler_tour,
+    run_windowed_euler_tour,
+    sequential_euler_tour,
+)
 from repro.congest.message import message_size_bits
 from repro.congest.network import Network
 from repro.core.coverage import coverage_probability, window_set
@@ -109,6 +114,29 @@ class TestDistributedProperties:
             for w, tw in times.items():
                 if tv < tw:
                     assert graph.distance(v, w) <= tw - tv
+
+    @given(
+        connected_graphs(min_nodes=1, max_nodes=12),
+        st.integers(min_value=0, max_value=11),
+        st.sampled_from([None, 1, 2]),
+    )
+    def test_cyclic_tour_matches_distributed_token(self, graph, root_index, radius):
+        network = Network(graph, seed=0)
+        tree = run_bfs_tree(network, graph.nodes()[root_index % graph.num_nodes])
+        members = None
+        if radius is not None:
+            members = {v for v, d in tree.distance.items() if d <= radius}
+        tour = CyclicTour(tree, members)
+        full = run_full_euler_tour(network, tree, members=members)
+        assert tour.window(tree.root) == full.visit_time
+        starts = sorted(members) if members is not None else graph.nodes()
+        beyond_full_tour = 2 * len(starts) + 1
+        for start in starts:
+            for window in (0, 1, 2, 2 * tree.depth, beyond_full_tour):
+                distributed = run_windowed_euler_tour(
+                    network, tree, start, window, members=members
+                )
+                assert tour.window(start, window) == distributed.visit_time
 
     @given(connected_graphs(max_nodes=12))
     def test_lemma1_coverage(self, graph):

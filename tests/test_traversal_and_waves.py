@@ -6,12 +6,15 @@ import pytest
 
 from repro.algorithms.bfs import run_bfs_tree
 from repro.algorithms.dfs_traversal import (
+    CyclicTour,
     run_full_euler_tour,
     run_windowed_euler_tour,
     sequential_euler_tour,
 )
 from repro.algorithms.waves import WaveScheduleEntry, run_distance_waves
 from repro.congest.network import Network
+from repro.core.approx_diameter import quantum_three_halves_diameter
+from repro.core.exact_diameter import quantum_exact_diameter
 from repro.graphs import generators
 
 
@@ -148,6 +151,65 @@ class TestWindowedEulerTour:
         tree = run_bfs_tree(network, 0)
         tour = run_windowed_euler_tour(network, tree, start=7, window=10)
         assert tour.metrics.rounds <= 10 + 4
+
+
+class TestCyclicTour:
+    def test_single_node_tree(self, network_factory):
+        network = network_factory(generators.path_graph(1))
+        tree = run_bfs_tree(network, 0)
+        tour = CyclicTour(tree)
+        for window in (None, 0, 1, 5):
+            assert tour.window(0, window) == {0: 0}
+        assert tour.window(0) == run_full_euler_tour(network, tree).visit_time
+
+    def test_non_member_start_raises(self, network_factory):
+        tree = run_bfs_tree(network_factory(generators.path_graph(6)), 0)
+        with pytest.raises(ValueError):
+            CyclicTour(tree, members={0, 1}).window(5, 4)
+
+    def test_negative_window_raises(self, network_factory):
+        tree = run_bfs_tree(network_factory(generators.path_graph(4)), 0)
+        with pytest.raises(ValueError):
+            CyclicTour(tree).window(0, -1)
+
+    def test_members_must_contain_root(self, network_factory):
+        tree = run_bfs_tree(network_factory(generators.path_graph(6)), 0)
+        with pytest.raises(ValueError):
+            CyclicTour(tree, members={1, 2})
+
+    def test_members_must_be_parent_closed(self, network_factory):
+        tree = run_bfs_tree(network_factory(generators.path_graph(6)), 0)
+        with pytest.raises(ValueError):
+            CyclicTour(tree, members={0, 1, 3})
+
+    @staticmethod
+    def _count_tours(monkeypatch):
+        built = []
+        original = CyclicTour.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CyclicTour, "__init__", counting_init)
+        return built
+
+    def test_theorem1_reference_run_builds_one_tour(self, monkeypatch):
+        built = self._count_tours(monkeypatch)
+        graph = generators.clique_chain(24, 4)
+        result = quantum_exact_diameter(graph, oracle_mode="reference", seed=1)
+        assert result.diameter == graph.diameter()
+        assert result.optimization.distinct_evaluations > 1
+        assert len(built) == 1
+
+    def test_theorem4_reference_run_builds_one_tour(self, monkeypatch):
+        built = self._count_tours(monkeypatch)
+        graph = generators.cycle_graph(40)
+        result = quantum_three_halves_diameter(
+            graph, oracle_mode="reference", seed=3
+        )
+        assert result.optimization.distinct_evaluations > 1
+        assert len(built) == 1
 
 
 class TestDistanceWaves:
