@@ -30,8 +30,8 @@ import json
 import os
 import time
 
+from repro.config import current_config, use_config
 from repro.graphs import generators
-from repro.tier import set_default_tier
 
 #: Node count of the headline all-eccentricities workload (>= 4000 so the
 #: batched sweep amortises its block setup).
@@ -60,11 +60,8 @@ def _time(fn):
 def _time_tier(nodes: int, tier: str):
     """End-to-end oracle timing (fresh graph + compile) under ``tier``."""
     graph = generators.family_for_sweep("clique_chain", nodes, seed=3)
-    previous = set_default_tier(tier)
-    try:
+    with use_config(current_config().override(tier=tier)):
         return _time(lambda: graph.compile().all_eccentricities())
-    finally:
-        set_default_tier(previous)
 
 
 def _bench_all_eccentricities(nodes: int) -> dict:

@@ -3,15 +3,10 @@
 The benchmark harnesses use these helpers to turn raw measurements
 (rounds as a function of ``n`` and ``D``) into the quantities the paper's
 Table 1 talks about: scaling exponents, classical/quantum ratios and
-crossover points.
+crossover points.  The fits (:mod:`repro.analysis.fitting`) need numpy,
+so they are imported from their submodule and not re-exported here.
 """
 
-from repro.analysis.fitting import (
-    crossover_point,
-    fit_power_law,
-    fit_power_law_two_predictors,
-    geometric_mean_ratio,
-)
 from repro.analysis.sweep import (
     SweepRecord,
     grid_signature,
@@ -23,10 +18,6 @@ from repro.analysis.sweep import (
 from repro.analysis.tables import render_table
 
 __all__ = [
-    "fit_power_law",
-    "fit_power_law_two_predictors",
-    "crossover_point",
-    "geometric_mean_ratio",
     "SweepRecord",
     "run_sweep",
     "run_sweep_grid",

@@ -54,11 +54,12 @@ exact algorithms).  Sweeps of pure approximation algorithms leave
 :func:`sweep_table`); when the oracle is available anyway, approximation
 guarantees are validated opportunistically.
 
-Fault injection: when the process-default fault model
-(:mod:`repro.faults`) is non-null -- set via ``run_sweep_grid``'s
-``fault_model`` parameter, the ``repro sweep --loss/--crash/--churn``
-flags or :func:`repro.faults.set_default_fault_model` -- the networks the
-kernels build inject message loss, delays, crashes and churn.  Under
+Fault injection: when the fault model of the current
+:class:`repro.config.ExecutionConfig` is non-null -- set via
+``run_sweep_grid``'s ``fault_model`` parameter, the ``repro sweep
+--loss/--crash/--churn`` flags or :func:`repro.config.use_config` -- the
+networks the kernels build inject message loss, delays, crashes and
+churn.  Under
 faults, non-convergence is an *expected outcome*, not a bug: simulator
 aborts (round/timeout limits, quiescence stalls) and unreached-node
 errors are captured into the record as ``success=False`` with a
@@ -84,7 +85,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.congest.errors import CongestSimulationError
-from repro.faults import FaultModel, get_default_fault_model, set_default_fault_model
+from repro.config import current_config, use_config
+from repro.faults import FaultModel
 from repro.graphs.graph import Graph
 from repro.runner.algorithms import (
     EXACT,
@@ -274,7 +276,7 @@ def _run_cell(kernel, *args) -> Tuple[int, float, bool, Optional[str]]:
     become failed records; the rounds completed before a round-limit
     abort are recovered from the enriched exception.
     """
-    if get_default_fault_model().is_null:
+    if current_config().fault.is_null:
         rounds, value = kernel(*args)
         return rounds, value, True, None
     try:
@@ -496,10 +498,11 @@ def run_sweep_grid(
     spec-major so chunk neighbours share the per-worker graph cache.
 
     ``fault_model`` (a :class:`repro.faults.FaultModel` or registry name)
-    installs a process-default fault model for the duration of the grid
-    (restored afterwards); ``None`` leaves whatever default is active.
-    The batch runner re-applies the default in its pool workers, so
-    parallel faulty sweeps stay byte-identical to serial ones.
+    replaces the fault model of the current
+    :class:`repro.config.ExecutionConfig` for the duration of the grid
+    (restored afterwards); ``None`` keeps the current one.  The batch
+    runner ships the config to its pool workers, so parallel faulty
+    sweeps stay byte-identical to serial ones.
 
     ``store`` (a :class:`repro.store.ExperimentStore`) persists every
     record as it completes, together with a run-provenance header and a
@@ -530,8 +533,7 @@ def run_sweep_grid(
     flushed, so a cancelled grid resumes exactly like an interrupted one.
     """
     if fault_model is not None:
-        previous = set_default_fault_model(fault_model)
-        try:
+        with use_config(current_config().override(fault=fault_model)):
             return run_sweep_grid(
                 specs,
                 algorithms,
@@ -544,8 +546,6 @@ def run_sweep_grid(
                 should_stop=should_stop,
                 dispatch=dispatch,
             )
-        finally:
-            set_default_fault_model(previous)
 
     if dispatch is not None:
         # Local import: repro.dispatch imports this module for the task
@@ -567,7 +567,7 @@ def run_sweep_grid(
         # chunk of cheap ones.  Estimation happens in-parent only, so
         # picklability is not a concern.
         runner.cost_of = _grid_cell_cost
-    fault = get_default_fault_model()
+    fault = current_config().fault
     tasks = [(spec, name) for spec in specs for name in algorithms]
     context = (algorithms, base_seed)
     if store is None:

@@ -64,6 +64,7 @@ from repro.algorithms import (
 )
 from repro.analysis.sweep import sweep_table
 from repro.analysis.tables import render_table, render_table1
+from repro.config import current_config, use_config
 from repro.congest import Network
 from repro.core import quantum_exact_diameter, quantum_three_halves_diameter
 from repro.core.problems import QUANTUM_PROBLEMS, quantum_problem_names
@@ -101,7 +102,7 @@ from repro.store import (
     render_records,
     shard_stats,
 )
-from repro.tier import TIER_NAMES, set_default_tier
+from repro.tier import TIER_NAMES
 
 
 def _build_graph(args: argparse.Namespace):
@@ -110,26 +111,6 @@ def _build_graph(args: argparse.Namespace):
             args.nodes, args.diameter, seed=args.seed
         )
     return generators.family_for_sweep(args.family, args.nodes, seed=args.seed)
-
-
-@contextlib.contextmanager
-def _compute_tier(name: Optional[str]):
-    """Temporarily select the process-wide compute tier.
-
-    Mirrors :func:`_schedule_backend`: process-wide so the batch runner
-    ships the selection to its pool workers, restored afterwards so
-    in-process callers of :func:`main` do not inherit a leaked default.
-    Results are tier-independent (byte-identical), so the flag only
-    affects wall-clock.
-    """
-    if name is None:
-        yield
-        return
-    previous = set_default_tier(name)
-    try:
-        yield
-    finally:
-        set_default_tier(previous)
 
 
 def _quantum_seeds(seed: int):
@@ -146,23 +127,28 @@ def _quantum_seeds(seed: int):
     )
 
 
+def _single_graph_config(args: argparse.Namespace):
+    """The current config with the ``--engine/--backend/--tier`` flags applied."""
+    return current_config().override(
+        engine=args.engine, backend=args.backend, tier=args.tier
+    )
+
+
 def _cmd_diameter(args: argparse.Namespace) -> int:
-    with _compute_tier(args.tier):
+    with use_config(_single_graph_config(args)):
         graph = _build_graph(args)
         truth = graph.compile().diameter()
         rows = []
 
-        classical = run_classical_exact_diameter(
-            Network(graph, seed=args.seed, engine=args.engine)
-        )
+        classical = run_classical_exact_diameter(Network(graph, seed=args.seed))
         rows.append(
             ["classical exact [PRT12/HW12]", classical.diameter, classical.rounds]
         )
 
         network_seed, schedule_seed = _quantum_seeds(args.seed)
         quantum = quantum_exact_diameter(
-            Network(graph, seed=network_seed, engine=args.engine),
-            oracle_mode=args.oracle_mode, seed=schedule_seed, backend=args.backend,
+            Network(graph, seed=network_seed),
+            oracle_mode=args.oracle_mode, seed=schedule_seed,
         )
         rows.append(["quantum exact (Theorem 1)", quantum.diameter, quantum.rounds])
 
@@ -172,17 +158,15 @@ def _cmd_diameter(args: argparse.Namespace) -> int:
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
-    with _compute_tier(args.tier):
+    with use_config(_single_graph_config(args)):
         graph = _build_graph(args)
         truth = graph.compile().diameter()
         rows = []
 
-        two = run_classical_two_approximation(
-            Network(graph, seed=args.seed, engine=args.engine)
-        )
+        two = run_classical_two_approximation(Network(graph, seed=args.seed))
         rows.append(["2-approximation", two.estimate, two.rounds])
         classical = run_hprw_three_halves_approximation(
-            Network(graph, seed=args.seed, engine=args.engine), seed=args.seed
+            Network(graph, seed=args.seed), seed=args.seed
         )
         rows.append(
             ["classical 3/2-approx [HPRW14]", classical.estimate, classical.rounds]
@@ -190,9 +174,8 @@ def _cmd_approx(args: argparse.Namespace) -> int:
         if args.quantum:
             network_seed, schedule_seed = _quantum_seeds(args.seed)
             quantum = quantum_three_halves_diameter(
-                Network(graph, seed=network_seed, engine=args.engine),
+                Network(graph, seed=network_seed),
                 oracle_mode=args.oracle_mode, seed=schedule_seed,
-                backend=args.backend,
             )
             rows.append(
                 ["quantum 3/2-approx (Theorem 4)", quantum.estimate, quantum.rounds]

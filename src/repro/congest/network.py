@@ -92,15 +92,15 @@ class Network:
     engine:
         Execution-engine name: ``"sparse"`` (event-driven, idle nodes are
         skipped) or ``"dense"`` (the historical every-node-every-round
-        loop).  ``None`` uses the process-wide default, ``"sparse"``
-        unless changed with :func:`repro.engine.set_default_engine`.
+        loop).  ``None`` uses the engine of the current
+        :class:`repro.config.ExecutionConfig` (``"sparse"`` by default).
     fault_model:
         A :class:`repro.faults.FaultModel` (or registry name) injected
         into every run of this network: seeded message loss/delay, node
-        crash/restart and edge churn.  ``None`` uses the process-wide
-        default (:func:`repro.faults.set_default_fault_model`), which is
-        the null model unless changed -- and the null model is
-        byte-identical to the fault-free simulator.
+        crash/restart and edge churn.  ``None`` uses the fault model of
+        the current :class:`repro.config.ExecutionConfig`, the null
+        model by default -- and the null model is byte-identical to the
+        fault-free simulator.
     """
 
     def __init__(
@@ -131,8 +131,8 @@ class Network:
         self._seed = seed if seed is not None else 0
 
         # Resolved at construction time (like the engine), so a network
-        # keeps its fault configuration even if the process default is
-        # flipped between runs.
+        # keeps its fault configuration even if another config is
+        # installed between runs.
         from repro.faults import resolve_fault_model
 
         self.fault_model = resolve_fault_model(fault_model)

@@ -123,15 +123,13 @@ class RemoteDispatch:
     def _describe(self, tasks: List, context) -> dict:
         """The wire description of this batch of cells.
 
-        Captures the effective engine / backend / tier / fault process
-        defaults -- exactly what the BatchRunner pool initializer ships
-        to local workers -- so remote cells run under the same
-        selections regardless of the worker host's own defaults.
+        Embeds the current :class:`repro.config.ExecutionConfig` --
+        exactly what the BatchRunner pool initializer ships to local
+        workers -- so remote cells run under the same engine, backend,
+        tier and fault model regardless of the worker host's own config.
         """
         from repro.analysis.sweep import sweep_task_key
-        from repro.engine import get_default_engine
-        from repro.quantum.backend import get_default_schedule_backend
-        from repro.tier import get_default_tier
+        from repro.config import current_config
         from repro.store.records import spec_to_dict
 
         algorithms, base_seed = context
@@ -141,14 +139,14 @@ class RemoteDispatch:
         spec_index: dict = {}
         task_refs: List[List[int]] = []
         keys: List[str] = []
-        fault = _current_fault()
+        config = current_config()
         for spec, name in tasks:
             position = spec_index.get(spec)
             if position is None:
                 position = spec_index[spec] = len(specs)
                 specs.append(spec)
             task_refs.append([position, name_index[name]])
-            keys.append(sweep_task_key(spec, name, base_seed, fault))
+            keys.append(sweep_task_key(spec, name, base_seed, config.fault))
         return {
             "kind": self.kind,
             "specs": [spec_to_dict(spec) for spec in specs],
@@ -156,10 +154,7 @@ class RemoteDispatch:
             "tasks": task_refs,
             "base_seed": int(base_seed),
             "signature": dispatch_signature(keys),
-            "engine": get_default_engine(),
-            "backend": get_default_schedule_backend(),
-            "tier": get_default_tier(),
-            "fault": _fault_fields(fault),
+            **config.to_dict(),
         }
 
     # -- the result stream ---------------------------------------------
@@ -208,22 +203,6 @@ class RemoteDispatch:
                     )
         finally:
             conn.close()
-
-
-def _current_fault():
-    """The effective fault model, or ``None`` for the null model."""
-    from repro.faults import get_default_fault_model
-
-    fault = get_default_fault_model()
-    return None if fault.is_null else fault
-
-
-def _fault_fields(fault) -> Optional[dict]:
-    if fault is None:
-        return None
-    from dataclasses import fields
-
-    return {item.name: getattr(fault, item.name) for item in fields(fault)}
 
 
 def resolve_dispatch(

@@ -6,11 +6,12 @@ to a :class:`repro.dispatch.coordinator.DispatchCoordinator`, register
 and a micro-benchmark throughput score the coordinator uses to weight
 lease sizes), heartbeat, and for every leased shard run the exact
 per-cell body of a local sweep
-(:func:`repro.analysis.sweep._sweep_one_grid_cell`) with the grid's
-engine / schedule-backend / compute-tier / fault-model selections
-applied as (restored) process defaults -- the same re-application the
-BatchRunner pool initializer performs, so a remote cell computes the
-byte-identical record a serial run would.
+(:func:`repro.analysis.sweep._sweep_one_grid_cell`) under the grid's
+:class:`repro.config.ExecutionConfig` (engine, schedule backend, compute
+tier and fault model, installed with :func:`repro.config.use_config`
+for the shard) -- the config the BatchRunner pool initializer ships to
+local workers, so a remote cell computes the byte-identical record a
+serial run would.
 
 Every completed cell is appended to the worker's **own** JSONL store
 shard (``DIR/shard-<signature>-<worker_id>.jsonl``) under the store's
@@ -49,7 +50,6 @@ model still learns the true cell times from heartbeat telemetry).
 
 from __future__ import annotations
 
-import contextlib
 import importlib.util
 import os
 import platform
@@ -153,47 +153,6 @@ def probe_capabilities(throttle: Optional[float] = None) -> Dict[str, Any]:
     }
 
 
-@contextlib.contextmanager
-def _restored(setter, value):
-    """Apply a process-default selection, restoring the previous one."""
-    previous = setter(value)
-    try:
-        yield
-    finally:
-        setter(previous)
-
-
-@contextlib.contextmanager
-def _grid_environment(description: Dict[str, Any]):
-    """The grid's process-default selections, applied and restored.
-
-    The remote twin of the BatchRunner pool initializer
-    (:func:`repro.runner.batch._worker_initializer`): the client captured
-    its effective engine / backend / tier / fault-model defaults into the
-    grid description, and the worker re-applies them around shard
-    execution so cells compute identical records on any host.
-    """
-    from repro.engine import set_default_engine
-    from repro.faults import FaultModel, set_default_fault_model
-    from repro.quantum.backend import set_default_schedule_backend
-    from repro.tier import set_default_tier
-
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(
-            _restored(set_default_engine, description["engine"])
-        )
-        stack.enter_context(
-            _restored(set_default_schedule_backend, description["backend"])
-        )
-        stack.enter_context(_restored(set_default_tier, description["tier"]))
-        fault = description.get("fault")
-        if fault is not None:
-            stack.enter_context(
-                _restored(set_default_fault_model, FaultModel(**fault))
-            )
-        yield
-
-
 class _GridContext:
     """A grid description resolved into executable objects, once."""
 
@@ -282,7 +241,7 @@ def _execute_shard(
     -- frames other than ``trim`` that arrived while polling mid-shard.
     """
     from repro.analysis.sweep import _sweep_one_grid_cell, sweep_task_key
-    from repro.faults import get_default_fault_model
+    from repro.config import ExecutionConfig, use_config
     from repro.store import ExperimentStore
     from repro.store.records import record_to_dict
 
@@ -307,8 +266,8 @@ def _execute_shard(
     started = time.perf_counter()
     streamed = 0
     fresh = 0
-    with _grid_environment(grid.description):
-        fault = get_default_fault_model()
+    config = ExecutionConfig.from_dict(grid.description)
+    with use_config(config):
         with store.acquire_writer(timeout=_LOCK_WAIT_SECONDS):
             completed = store.begin_sweep(
                 specs=grid.specs,
@@ -324,7 +283,7 @@ def _execute_shard(
                     stats["trimmed"] += 1
                     continue
                 spec, name = grid.cell(index)
-                key = sweep_task_key(spec, name, grid.base_seed, fault)
+                key = sweep_task_key(spec, name, grid.base_seed, config.fault)
                 record = completed.get(key)
                 if record is None:
                     cell_started = time.perf_counter()

@@ -17,8 +17,8 @@ together by :class:`repro.engine.engine.ExecutionEngine`:
 
 ``repro.congest.network.Network`` remains the public facade: it builds an
 engine at construction (``Network(graph, engine="sparse")``) and delegates
-``run`` to it.  The process-wide default engine is controlled by
-:func:`set_default_engine` (used by the CLI and benchmark flags).
+``run`` to it.  ``engine=None`` selects the engine of the current
+:class:`repro.config.ExecutionConfig` (set with :func:`repro.config.use_config`).
 """
 
 from repro.engine.engine import (
@@ -26,7 +26,6 @@ from repro.engine.engine import (
     build_engine,
     get_default_engine,
     resolve_engine_name,
-    set_default_engine,
 )
 from repro.engine.observers import (
     CoreMetricsObserver,
@@ -51,7 +50,6 @@ ENGINE_NAMES = tuple(sorted(SCHEDULERS))
 __all__ = [
     "ExecutionEngine",
     "build_engine",
-    "set_default_engine",
     "get_default_engine",
     "resolve_engine_name",
     "ENGINE_NAMES",

@@ -49,30 +49,18 @@ from repro.engine.scheduler import (
 from repro.engine.transport import Transport
 from repro.graphs.graph import NodeId
 
-#: The engine used when neither the ``Network`` constructor nor the caller
-#: picks one explicitly.  Toggled process-wide by :func:`set_default_engine`
-#: (the CLI ``--engine`` flag and the benchmark ``--engine`` option use it).
-_DEFAULT_ENGINE = "sparse"
-
-
-def set_default_engine(name: str) -> str:
-    """Set the process-wide default engine; returns the previous default."""
-    global _DEFAULT_ENGINE
-    validate_engine_name(name)
-    previous = _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = name
-    return previous
-
-
 def get_default_engine() -> str:
-    """The current process-wide default engine name."""
-    return _DEFAULT_ENGINE
+    """The engine of the current :class:`repro.config.ExecutionConfig`."""
+    # Local import: repro.config imports this package for validation.
+    from repro.config import current_config
+
+    return current_config().engine
 
 
 def resolve_engine_name(name: Optional[str]) -> str:
-    """Map ``None`` to the process default and validate the name."""
+    """Map ``None`` to the configured engine and validate the name."""
     if name is None:
-        return _DEFAULT_ENGINE
+        return get_default_engine()
     return validate_engine_name(name)
 
 
@@ -596,8 +584,8 @@ def build_engine(
 ) -> ExecutionEngine:
     """Build the engine registered under ``name`` for ``network``.
 
-    ``name=None`` uses the process-wide default (see
-    :func:`set_default_engine`).
+    ``name=None`` uses the engine of the current
+    :class:`repro.config.ExecutionConfig`.
     """
     resolved = resolve_engine_name(name)
     return ExecutionEngine(network, make_scheduler(resolved), observers=observers)

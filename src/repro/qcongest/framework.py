@@ -176,7 +176,7 @@ def run_distributed_quantum_optimization(
     (:mod:`repro.quantum.backend`): ``"sampling"`` (the reference per-call
     simulation), ``"batched"`` (precomputed rotation statistics), a
     :class:`~repro.quantum.backend.ScheduleBackend` instance, or ``None``
-    for the process-wide default.  Backends are proven byte-identical, so
+    for the backend of the current :class:`repro.config.ExecutionConfig`.  Backends are proven byte-identical, so
     the choice affects wall-clock only.
     """
     rng = rng if rng is not None else random.Random(0)

@@ -26,13 +26,14 @@ per-call reference simulation, the ``"batched"`` backend precomputes the
 exact Grover rotation statistics over the whole search space and serves
 every amplification round from per-threshold tables.  The two are proven
 byte-identical for a fixed seed, so backend choice (CLI ``--backend``,
-:func:`~repro.quantum.backend.set_default_schedule_backend`) trades
+the ``backend`` field of :class:`repro.config.ExecutionConfig`) trades
 nothing but wall-clock.
 
 A small dense state-vector simulator (:mod:`repro.quantum.state`) is also
 provided for register-level unit checks such as the CNOT-copy operation of
 Section 2 (``|u>|v> -> |u>|u xor v>``), which is how the Setup procedure
-broadcasts the search register over the network.
+broadcasts the search register over the network.  It needs numpy, so it
+is imported from its submodule and not re-exported here.
 """
 
 from repro.quantum.amplitude_amplification import (
@@ -50,7 +51,6 @@ from repro.quantum.backend import (
     ScheduleBackend,
     get_default_schedule_backend,
     resolve_schedule_backend,
-    set_default_schedule_backend,
     validate_backend_name,
 )
 from repro.quantum.cost_model import QuantumCostModel, QuantumResourceCount
@@ -60,7 +60,6 @@ from repro.quantum.maximum_finding import (
     find_maximum,
     uniform_amplitudes,
 )
-from repro.quantum.state import StateVector, cnot_copy_register
 
 __all__ = [
     "grover_success_probability",
@@ -75,7 +74,6 @@ __all__ = [
     "BACKEND_NAMES",
     "resolve_schedule_backend",
     "get_default_schedule_backend",
-    "set_default_schedule_backend",
     "validate_backend_name",
     "grover_search",
     "GroverSearchResult",
@@ -84,6 +82,4 @@ __all__ = [
     "MaximumFindingResult",
     "QuantumCostModel",
     "QuantumResourceCount",
-    "StateVector",
-    "cnot_copy_register",
 ]

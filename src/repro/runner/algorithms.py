@@ -126,7 +126,7 @@ def two_approx_retry(graph: Graph, seed: int) -> Tuple[int, float]:
     network both certify the same eccentricity bound, but this variant
     keeps converging under the message loss / churn / crash models of
     :mod:`repro.faults` (``benchmarks/bench_faults.py`` measures the
-    success-probability gap).  The network picks up the process-default
+    success-probability gap).  The network picks up the configured
     fault model, exactly like every other kernel.
     """
     from repro.algorithms.resilient import run_resilient_two_approximation
@@ -156,10 +156,10 @@ def quantum_problem_kernel(
     Earlier revisions passed the raw seed to both, correlating leader
     election tie-breaks with the schedule's measurement draws (the same
     aliasing PR 3 fixed for the sweep's graph-vs-algorithm seed split).
-    The schedule backend is the process default
-    (:func:`repro.quantum.backend.get_default_schedule_backend`), which
-    the batch runner re-applies in its pool workers, so ``--backend``
-    selections reach parallel sweeps too.
+    The schedule backend is the ``backend`` of the current
+    :class:`repro.config.ExecutionConfig`, which the batch runner ships
+    to its pool workers, so ``--backend`` selections reach parallel
+    sweeps too.
     """
     from repro.congest.network import Network
     from repro.core.problems import resolve_quantum_problem

@@ -14,9 +14,10 @@ output.  :class:`BatchRunner` guarantees that by construction:
   *identity* (not from its execution order or wall-clock), so a task
   computes the same answer no matter which worker runs it;
 * the shared callable and context object are shipped to each worker **once**
-  (via the pool initializer), not once per task, and workers inherit the
-  parent's process-wide default engine, quantum schedule-backend and
-  compute-tier selections;
+  (via the pool initializer), not once per task, together with the
+  parent's :class:`repro.config.ExecutionConfig` (engine, quantum
+  schedule backend, compute tier and fault model), which every task runs
+  under;
 * worker exceptions propagate to the caller (the pool is torn down and the
   failure re-raised as :class:`BatchTaskError` naming the failing task and
   chaining the original exception), so a failing task cannot be silently
@@ -35,11 +36,22 @@ import os
 import zlib
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, TypeVar
 
+from repro.config import current_config, use_config
+
 Task = TypeVar("Task")
 Result = TypeVar("Result")
 
-#: Sentinel distinguishing "no context" from a ``None`` context.
-_NO_CONTEXT = object()
+
+class _NoContext:
+    """Sentinel type distinguishing "no context" from a ``None`` context."""
+
+    def __reduce__(self):
+        # Unpickle to the module's own instance, so ``spawn`` workers
+        # recognise the sentinel by identity too.
+        return "_NO_CONTEXT"
+
+
+_NO_CONTEXT = _NoContext()
 
 #: Per-worker state installed by the pool initializer: the task callable,
 #: the shared context and the per-worker caches (see :mod:`repro.runner.spec`).
@@ -98,36 +110,22 @@ def task_seed(base_seed: int, *components: Any) -> int:
     return zlib.crc32(text.encode("utf-8"))
 
 
-def _worker_initializer(
-    function, context, engine_name: str, backend_name: str, tier_name: str,
-    fault_model=None,
-) -> None:
-    """Install the shared task callable and context in a pool worker.
+def _worker_initializer(function, context, config) -> None:
+    """Install the shared task callable, context and config in a pool worker.
 
     Runs once per worker process, so the (potentially large) context --
     an algorithm table, a pickled search problem -- is transferred and
     deserialised once per worker instead of once per task.  The parent's
-    default-engine, default-schedule-backend, default-compute-tier and
-    default-fault-model selections are re-applied because ``spawn``-style
-    workers do not inherit process-wide globals (and quantum sweep
-    kernels read the backend default; see
-    :func:`repro.runner.algorithms.quantum_problem_kernel`).  The fault
-    model travels as the (picklable, frozen) :class:`repro.faults.FaultModel`
-    instance itself rather than a registry name, so models built from CLI
-    flags reach workers too.
+    :class:`repro.config.ExecutionConfig` travels explicitly because
+    ``spawn``-style workers do not inherit the parent's config (and
+    quantum sweep kernels read its backend; see
+    :func:`repro.runner.algorithms.quantum_problem_kernel`); the frozen
+    config pickles with its fault model, so models built from CLI flags
+    reach workers too.
     """
-    from repro.engine import set_default_engine
-    from repro.faults import set_default_fault_model
-    from repro.quantum.backend import set_default_schedule_backend
-    from repro.tier import set_default_tier
-
     _WORKER_STATE["function"] = function
     _WORKER_STATE["context"] = context
-    set_default_engine(engine_name)
-    set_default_schedule_backend(backend_name)
-    set_default_tier(tier_name)
-    if fault_model is not None:
-        set_default_fault_model(fault_model)
+    _WORKER_STATE["config"] = config
 
 
 def _invoke_task(task):
@@ -140,9 +138,10 @@ def _invoke_task(task):
     function = _WORKER_STATE["function"]
     context = _WORKER_STATE["context"]
     try:
-        if context is _NO_CONTEXT:
-            return function(task)
-        return function(context, task)
+        with use_config(_WORKER_STATE["config"]):
+            if context is _NO_CONTEXT:
+                return function(task)
+            return function(context, task)
     except BatchTaskError:
         raise
     except Exception as error:
@@ -281,26 +280,18 @@ class BatchRunner:
             return (function(context, task) for task in tasks)
         return self._imap_parallel(function, tasks, context)
 
-    def _map_parallel(self, function, tasks: Sequence, context) -> List:
-        from repro.engine import get_default_engine
-        from repro.faults import get_default_fault_model
-        from repro.quantum.backend import get_default_schedule_backend
-        from repro.tier import get_default_tier
-
-        workers = min(self.jobs, len(tasks))
-        mp_context = multiprocessing.get_context(self.start_method)
-        pool = mp_context.Pool(
+    def _pool(self, function, context, workers: int):
+        """A started pool whose workers hold ``function``, ``context`` and
+        the current :class:`repro.config.ExecutionConfig`."""
+        return multiprocessing.get_context(self.start_method).Pool(
             processes=workers,
             initializer=_worker_initializer,
-            initargs=(
-                function,
-                context,
-                get_default_engine(),
-                get_default_schedule_backend(),
-                get_default_tier(),
-                get_default_fault_model(),
-            ),
+            initargs=(function, context, current_config()),
         )
+
+    def _map_parallel(self, function, tasks: Sequence, context) -> List:
+        workers = min(self.jobs, len(tasks))
+        pool = self._pool(function, context, workers)
         try:
             if self.chunk_size is not None:
                 results = pool.map(
@@ -322,25 +313,8 @@ class BatchRunner:
             pool.join()
 
     def _imap_parallel(self, function, tasks: Sequence, context) -> Iterator:
-        from repro.engine import get_default_engine
-        from repro.faults import get_default_fault_model
-        from repro.quantum.backend import get_default_schedule_backend
-        from repro.tier import get_default_tier
-
         workers = min(self.jobs, len(tasks))
-        mp_context = multiprocessing.get_context(self.start_method)
-        pool = mp_context.Pool(
-            processes=workers,
-            initializer=_worker_initializer,
-            initargs=(
-                function,
-                context,
-                get_default_engine(),
-                get_default_schedule_backend(),
-                get_default_tier(),
-                get_default_fault_model(),
-            ),
-        )
+        pool = self._pool(function, context, workers)
         try:
             if self.chunk_size is not None:
                 for result in pool.imap(

@@ -12,7 +12,9 @@ That identity is structural, not coincidental: both paths construct a
 * family and size validation happens,
 * algorithm (or quantum problem) names resolve to registry kernels, and
 * the engine / schedule-backend / compute-tier / fault-model selections
-  are applied around :func:`repro.analysis.sweep.run_sweep_grid`.
+  become one :class:`repro.config.ExecutionConfig`, installed with
+  :func:`repro.config.use_config` around
+  :func:`repro.analysis.sweep.run_sweep_grid`.
 
 A request is plain data (JSON round-trip via :meth:`GridRequest.to_dict`
 / :meth:`GridRequest.from_dict`), so it travels over the service HTTP
@@ -21,16 +23,14 @@ API and sits in the job ledger unchanged.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.sweep import run_sweep_grid
+from repro.config import ExecutionConfig, current_config, use_config
 from repro.dispatch import DISPATCH_NAMES
-from repro.engine import ENGINE_NAMES, set_default_engine
 from repro.faults import FaultModel
 from repro.graphs import generators
-from repro.quantum.backend import BACKEND_NAMES, set_default_schedule_backend
 from repro.runner import (
     BatchRunner,
     GraphSpec,
@@ -39,7 +39,6 @@ from repro.runner import (
     sweep_algorithm_for_problem,
     task_seed,
 )
-from repro.tier import TIER_NAMES, set_default_tier
 
 #: How the algorithm names of a request resolve: ``sweep`` looks them up
 #: in :data:`repro.runner.SWEEP_ALGORITHMS`, ``quantum`` treats them as
@@ -60,7 +59,7 @@ def fault_model_from_flags(
 ) -> Optional[FaultModel]:
     """The fault model selected by the ``--loss/--crash/...`` flag values.
 
-    Returns ``None`` (leave the process default alone) when no flag asks
+    Returns ``None`` (keep the current config's model) when no flag asks
     for an actual fault: probabilities at zero and no fault timeout.
     May raise ``ValueError`` for out-of-range values.
     """
@@ -140,21 +139,10 @@ class GridRequest:
         for size in self.sizes:
             if size < 1:
                 raise ValueError(f"sizes must be >= 1, got {size}")
-        if self.engine is not None and self.engine not in ENGINE_NAMES:
-            raise ValueError(
-                f"unknown engine {self.engine!r} (available: "
-                + ", ".join(ENGINE_NAMES) + ")"
-            )
-        if self.backend is not None and self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown schedule backend {self.backend!r} (available: "
-                + ", ".join(BACKEND_NAMES) + ")"
-            )
-        if self.tier is not None and self.tier not in TIER_NAMES:
-            raise ValueError(
-                f"unknown compute tier {self.tier!r} (available: "
-                + ", ".join(TIER_NAMES) + ")"
-            )
+        try:
+            self.config()
+        except ImportError as error:  # the numpy tier without numpy
+            raise ValueError(str(error)) from None
         if self.dispatch is not None and self.dispatch not in DISPATCH_NAMES:
             raise ValueError(
                 f"unknown dispatch backend {self.dispatch!r} (available: "
@@ -163,6 +151,13 @@ class GridRequest:
         self.algorithm_table()  # raises on unknown algorithm/problem names
 
     # -- derived execution inputs --------------------------------------
+    def config(self) -> ExecutionConfig:
+        """The current config with this request's selections applied."""
+        return current_config().override(
+            engine=self.engine, backend=self.backend, tier=self.tier,
+            fault=self.fault,
+        )
+
     def graph_seed(self) -> int:
         """The graph-construction seed stream derived from ``seed``."""
         return task_seed(self.seed, "sweep-graph-stream")
@@ -248,24 +243,6 @@ class GridRequest:
         )
 
 
-@contextlib.contextmanager
-def _process_default(value: Optional[str], setter: Callable[[str], str]):
-    """Temporarily install a process-default registry selection.
-
-    Process-wide so the batch runner ships the selection to its pool
-    workers; restored afterwards so in-process callers (tests, the CLI
-    invoked from a notebook) do not inherit a leaked default.
-    """
-    if value is None:
-        yield
-        return
-    previous = setter(value)
-    try:
-        yield
-    finally:
-        setter(previous)
-
-
 def execute_grid_request(
     request: GridRequest,
     runner: Optional[BatchRunner] = None,
@@ -277,10 +254,10 @@ def execute_grid_request(
 ) -> List:
     """Run a grid request: the one execution path of CLI and daemon.
 
-    Applies the request's engine / backend / tier selections as
-    (restored) process defaults, threads its fault model through
-    :func:`repro.analysis.sweep.run_sweep_grid`, and honours the
-    checkpoint-store and cooperative progress/cancellation hooks.  The
+    Runs :func:`repro.analysis.sweep.run_sweep_grid` under the request's
+    :meth:`GridRequest.config` (the previous config is restored
+    afterwards) and honours the checkpoint-store and cooperative
+    progress/cancellation hooks.  The
     records -- and therefore the canonical export -- depend only on the
     request, never on who executed it.
 
@@ -296,9 +273,7 @@ def execute_grid_request(
         dispatch = request.dispatch
     if runner is None:
         runner = BatchRunner(jobs=request.jobs)
-    with _process_default(request.engine, set_default_engine), \
-            _process_default(request.backend, set_default_schedule_backend), \
-            _process_default(request.tier, set_default_tier):
+    with use_config(request.config()):
         return run_sweep_grid(
             request.specs(),
             request.algorithm_table(),
@@ -306,7 +281,6 @@ def execute_grid_request(
             base_seed=request.base_seed(),
             store=store,
             resume=resume,
-            fault_model=request.fault,
             progress=progress,
             should_stop=should_stop,
             dispatch=dispatch,

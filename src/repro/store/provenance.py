@@ -14,6 +14,8 @@ import platform
 import subprocess
 from typing import Any, Dict, Optional
 
+from repro.config import current_config
+
 #: Keys the experiment service may stamp onto run headers; anything else
 #: passed to :func:`set_run_context` is rejected so the header schema
 #: stays enumerable.
@@ -82,24 +84,16 @@ def git_describe(cwd: Optional[str] = None) -> Optional[str]:
 def collect_provenance() -> Dict[str, Any]:
     """Environment facts stamped on every run header.
 
-    Records the *full* process-default execution configuration -- engine,
-    quantum schedule backend, compute tier and fault model -- not just
+    Records the *full* current :class:`repro.config.ExecutionConfig` --
+    engine, quantum schedule backend, compute tier and fault model -- not just
     the engine: a sweep run under ``--backend numpy-sim``, ``--tier
     numpy`` or ``--loss 0.05`` is not reproducible from a header that
     omits those selections.  The fault model is stamped as its canonical
     description string (``"none"`` for the null model), which is exactly
     the token that distinguishes faulty task keys.
     """
-    from repro.engine import get_default_engine
-    from repro.faults import get_default_fault_model
-    from repro.quantum.backend import get_default_schedule_backend
-    from repro.tier import get_default_tier
-
     provenance = {
-        "engine": get_default_engine(),
-        "schedule_backend": get_default_schedule_backend(),
-        "tier": get_default_tier(),
-        "fault_model": get_default_fault_model().describe(),
+        **current_config().provenance(),
         "git": git_describe(),
         "python": platform.python_version(),
     }

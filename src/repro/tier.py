@@ -1,37 +1,31 @@
-"""Process-wide compute-tier selection: ``stdlib`` (reference) vs ``numpy``.
+"""Compute-tier selection: ``stdlib`` (reference) vs ``numpy``.
 
-The repository keeps two implementations of its hot numerical paths:
+The repository keeps two implementations of its hot graph oracles:
 
 * ``"stdlib"`` -- the reference tier.  Pure-stdlib kernels (big-int
-  bitsets, Takes-Kosters pruning, the dense/sparse engine round loops);
-  always available, and the behaviour every other tier is proven
-  byte-identical against.
+  bitsets, Takes-Kosters pruning); always available, and the behaviour
+  the numpy tier is proven byte-identical against.
 * ``"numpy"`` -- the vectorized tier.  uint64-word bitset multi-source
   BFS and batched-pruning all-eccentricities kernels over the CSR arrays
-  (:mod:`repro.graphs.vector`), plus the array-indexed ``vector``
-  execution engine (:mod:`repro.engine.scheduler`).  Requires the
-  optional ``repro[numpy]`` extra; selecting it without numpy installed
-  raises the actionable :class:`ImportError` of
-  :func:`repro._numpy.require_numpy`.
+  (:mod:`repro.graphs.vector`).  Requires the optional ``repro[numpy]``
+  extra; selecting it without numpy installed raises the actionable
+  :class:`ImportError` of :func:`repro._numpy.require_numpy`.
 
-Tier selection follows the execution-engine / schedule-backend idiom
-(:func:`repro.engine.set_default_engine`,
-:func:`repro.quantum.backend.set_default_schedule_backend`): a
-process-wide default, toggled by the CLI ``--tier`` flag and the
-benchmark conftest, re-applied in :class:`repro.runner.batch.BatchRunner`
-pool workers, and consulted at each dispatch point via
-:func:`get_default_tier` / :func:`active_numpy`.  Dispatch points treat
-the tier as a *performance* choice only: every tier returns byte-identical
-values, dict orders and exceptions, so flipping the default can never
-change a result -- the differential suite in ``tests/test_vector_tier.py``
-holds the tiers to that contract.
+The tier is the ``tier`` field of :class:`repro.config.ExecutionConfig`:
+the CLI ``--tier`` flag and the benchmark conftest install it with
+:func:`repro.config.use_config`, and dispatch points consult it via
+:func:`active_numpy`.  Dispatch points treat the tier as a *performance*
+choice only: every tier returns byte-identical values, dict orders and
+exceptions, so switching tiers can never change a result -- the
+differential suite in ``tests/test_vector_tier.py`` holds the tiers to
+that contract.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro._numpy import numpy_or_none, require_numpy
+from repro._numpy import numpy_or_none
 
 #: The reference tier (always available; the seed behaviour).
 TIER_STDLIB = "stdlib"
@@ -42,9 +36,6 @@ TIER_NUMPY = "numpy"
 #: Stable name tuple for argparse ``choices``.
 TIER_NAMES: Tuple[str, ...] = (TIER_NUMPY, TIER_STDLIB)
 
-#: Process-wide default, toggled by :func:`set_default_tier`.
-_DEFAULT_TIER = TIER_STDLIB
-
 
 def validate_tier_name(name: str) -> str:
     """Return ``name`` if it is a known tier, else raise ``ValueError``."""
@@ -54,33 +45,18 @@ def validate_tier_name(name: str) -> str:
     return name
 
 
-def set_default_tier(name: str) -> str:
-    """Set the process-wide default compute tier; returns the previous one.
-
-    Selecting the ``numpy`` tier eagerly verifies that numpy is
-    importable, so a missing install fails here -- at the CLI flag or
-    conftest option that asked for the tier -- with the actionable
-    message of :func:`repro._numpy.require_numpy`, not later inside a
-    kernel.
-    """
-    global _DEFAULT_TIER
-    validate_tier_name(name)
-    if name == TIER_NUMPY:
-        require_numpy("the 'numpy' compute tier")
-    previous = _DEFAULT_TIER
-    _DEFAULT_TIER = name
-    return previous
-
-
 def get_default_tier() -> str:
-    """The current process-wide default compute-tier name."""
-    return _DEFAULT_TIER
+    """The tier of the current :class:`repro.config.ExecutionConfig`."""
+    # Local import: repro.config imports this module for validation.
+    from repro.config import current_config
+
+    return current_config().tier
 
 
 def resolve_tier(tier: Optional[str] = None) -> str:
-    """Map an explicit tier name or ``None`` (process default) to a name."""
+    """Map an explicit tier name or ``None`` (the configured tier) to a name."""
     if tier is None:
-        return _DEFAULT_TIER
+        return get_default_tier()
     return validate_tier_name(tier)
 
 
@@ -94,10 +70,9 @@ def active_numpy(tier: Optional[str] = None):
             ...vectorized kernel...
 
     It returns ``None`` both when the stdlib tier is selected and when
-    numpy is unimportable (the latter can only happen if the default was
-    set by mutating :data:`_DEFAULT_TIER` directly -- the setter above
-    verifies importability -- but kernels should degrade, not crash, if
-    an exotic environment unloads numpy mid-process).
+    numpy is unimportable (the config constructor verifies importability,
+    but kernels should degrade, not crash, if an exotic environment
+    unloads numpy mid-process).
     """
     if resolve_tier(tier) != TIER_NUMPY:
         return None

@@ -6,18 +6,28 @@ import math
 
 import pytest
 
-from repro.analysis.fitting import (
-    crossover_point,
-    fit_power_law,
-    fit_power_law_two_predictors,
-    geometric_mean_ratio,
-)
 from repro.analysis.sweep import SweepRecord, run_sweep, sweep_table
 from repro.analysis.tables import render_table, render_table1
 from repro.graphs import generators
 from repro.runner import EXACT, THREE_HALVES, SweepAlgorithmInfo
 
+try:  # the fits need numpy; without it only the fit tests skip
+    from repro.analysis.fitting import (
+        crossover_point,
+        fit_power_law,
+        fit_power_law_two_predictors,
+        geometric_mean_ratio,
+    )
+except ImportError:
+    pass
 
+
+@pytest.fixture
+def numpy_required():
+    pytest.importorskip("numpy")
+
+
+@pytest.mark.usefixtures("numpy_required")
 class TestPowerLawFits:
     def test_exact_power_law_recovered(self):
         xs = [10, 20, 40, 80, 160]
@@ -68,6 +78,7 @@ class TestPowerLawFits:
             fit_power_law_two_predictors([1, 2], [1, 2], [1, 2])
 
 
+@pytest.mark.usefixtures("numpy_required")
 class TestCrossoverAndRatios:
     def test_crossover_found(self):
         xs = [1, 2, 3, 4, 5]

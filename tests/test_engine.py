@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.bfs import run_bfs_tree
+from repro.config import ExecutionConfig, current_config, use_config
 from repro.congest.errors import (
     BandwidthExceededError,
     ProtocolError,
@@ -33,7 +34,6 @@ from repro.engine import (
     TrafficLogObserver,
     get_default_engine,
     make_scheduler,
-    set_default_engine,
 )
 from repro.graphs import generators
 
@@ -146,16 +146,17 @@ class TestEngineSelection:
             Network(generators.path_graph(3), engine="warp")
 
     def test_unknown_default_rejected(self):
+        before = current_config()
         with pytest.raises(ValueError, match="unknown engine"):
-            set_default_engine("warp")
+            ExecutionConfig(engine="warp")
+        assert current_config() is before
 
     def test_default_engine_toggle(self):
-        previous = set_default_engine("sparse")
-        try:
-            assert get_default_engine() == "sparse"
-            assert Network(generators.path_graph(3)).engine_name == "sparse"
-        finally:
-            set_default_engine(previous)
+        previous = get_default_engine()
+        for engine in ("dense", "sparse"):
+            with use_config(current_config().override(engine=engine)):
+                assert get_default_engine() == engine
+                assert Network(generators.path_graph(3)).engine_name == engine
         assert get_default_engine() == previous
 
     def test_make_scheduler(self):

@@ -24,7 +24,7 @@ import sys
 
 import pytest
 
-from repro import faults, tier
+from repro import faults
 from repro.algorithms.bfs import run_bfs_tree
 from repro.algorithms.diameter_approx import run_classical_two_approximation
 from repro.algorithms.resilient import (
@@ -35,7 +35,7 @@ from repro.analysis.sweep import run_sweep_grid, sweep_task_key
 from repro.congest.errors import CongestSimulationError, RoundLimitExceededError
 from repro.congest.network import Network
 from repro.congest.node import NodeAlgorithm
-from repro.engine import set_default_engine
+from repro.config import ExecutionConfig, current_config, use_config
 from repro.faults import (
     FAULT_MODELS,
     NULL_FAULT_MODEL,
@@ -44,7 +44,6 @@ from repro.faults import (
     get_default_fault_model,
     register_fault_model,
     resolve_fault_model,
-    set_default_fault_model,
     validate_fault_model,
 )
 from repro.graphs import generators
@@ -62,10 +61,10 @@ LOSSY = FaultModel(loss=0.1, timeout=256)
 
 @pytest.fixture(autouse=True)
 def _restore_default_fault_model():
-    """No test may leak a process-default fault model into the suite."""
-    previous = get_default_fault_model()
+    """No test may leak an installed config into the suite."""
+    previous = current_config()
     yield
-    set_default_fault_model(previous)
+    assert current_config() is previous
 
 
 def _graph(nodes=18, family="clique_chain"):
@@ -130,12 +129,11 @@ class TestFaultModel:
             FAULT_MODELS.pop("test-model", None)
 
     def test_default_model_toggle(self):
-        previous = set_default_fault_model("lossy")
-        assert get_default_fault_model() == FAULT_MODELS["lossy"]
-        assert resolve_fault_model(None) == FAULT_MODELS["lossy"]
-        assert resolve_fault_model("none").is_null
-        restored = set_default_fault_model(previous)
-        assert restored == FAULT_MODELS["lossy"]
+        with use_config(ExecutionConfig(fault="lossy")):
+            assert get_default_fault_model() == FAULT_MODELS["lossy"]
+            assert resolve_fault_model(None) == FAULT_MODELS["lossy"]
+            assert resolve_fault_model("none").is_null
+        assert get_default_fault_model().is_null
 
 
 class TestFaultPlan:
@@ -258,16 +256,13 @@ class TestNullModelIdentity:
     def test_null_model_byte_identical_numpy_tier(self):
         pytest.importorskip("numpy")
         graph = _graph()
-        previous = tier.set_default_tier("numpy")
-        try:
+        with use_config(current_config().override(tier="numpy")):
             clean = run_classical_two_approximation(
                 Network(graph, seed=3, engine="sparse")
             )
             null = run_classical_two_approximation(
                 Network(graph, seed=3, engine="sparse", fault_model=FaultModel())
             )
-        finally:
-            tier.set_default_tier(previous)
         assert null.estimate == clean.estimate
         assert null.metrics == clean.metrics
 
@@ -480,23 +475,21 @@ class TestSweepIntegration:
         specs = self.SPECS + (GraphSpec(family="cycle", num_nodes=16, seed=1),)
         exports = {}
         for engine in ENGINES:
-            previous = set_default_engine(engine)
-            try:
+            with use_config(current_config().override(engine=engine)):
                 records = run_sweep_grid(
                     specs, self._algorithms(), base_seed=0, fault_model=crashes
                 )
-            finally:
-                set_default_engine(previous)
             exports[engine] = render_records(records, "jsonl")
         assert exports["dense"] == exports["sparse"]
         assert "RoundLimitExceededError" in exports["dense"]
 
     def test_provenance_stamps_fault_model(self):
         assert collect_provenance()["fault_model"] == "none"
-        set_default_fault_model("lossy")
-        assert (
-            collect_provenance()["fault_model"] == FAULT_MODELS["lossy"].describe()
-        )
+        with use_config(ExecutionConfig(fault="lossy")):
+            assert (
+                collect_provenance()["fault_model"]
+                == FAULT_MODELS["lossy"].describe()
+            )
 
 
 #: A faulty end-to-end scenario executed in subprocesses: a lossy

@@ -163,14 +163,14 @@ class TestExecution:
         assert records == direct
 
     def test_process_defaults_restored(self):
-        from repro.engine import get_default_engine
-        from repro.tier import get_default_tier
+        from repro.config import current_config
 
-        engine_before = get_default_engine()
-        tier_before = get_default_tier()
-        execute_grid_request(_request(engine="sparse", tier="stdlib"))
-        assert get_default_engine() == engine_before
-        assert get_default_tier() == tier_before
+        before = current_config()
+        execute_grid_request(_request(
+            engine="dense", backend="batched", tier="stdlib",
+            fault=FaultModel(loss=0.05, timeout=256),
+        ))
+        assert current_config() is before
 
 
 def _grid_subparsers():

@@ -17,7 +17,6 @@ from repro.algorithms import (
     run_classical_two_approximation,
     run_hprw_three_halves_approximation,
 )
-from repro.analysis.fitting import fit_power_law
 from repro.analysis.tables import render_table1
 from repro.congest.network import Network
 from repro.core import quantum_exact_diameter, quantum_three_halves_diameter
@@ -67,6 +66,9 @@ class TestExactPipelines:
         assert spread <= 6.0
 
     def test_classical_rounds_scale_linearly(self):
+        pytest.importorskip("numpy")
+        from repro.analysis.fitting import fit_power_law
+
         sizes = [12, 24, 48]
         rounds = []
         for n in sizes:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.config import ExecutionConfig, current_config, use_config
 from repro.congest.network import Network
 from repro.core.problems import QUANTUM_PROBLEMS
 from repro.graphs import generators
@@ -27,7 +28,6 @@ from repro.quantum.backend import (
     SamplingScheduleBackend,
     get_default_schedule_backend,
     resolve_schedule_backend,
-    set_default_schedule_backend,
     validate_backend_name,
 )
 from repro.quantum.grover import grover_search
@@ -71,18 +71,19 @@ class TestBackendRegistry:
             validate_backend_name("")
 
     def test_default_toggle_returns_previous(self):
-        previous = set_default_schedule_backend("batched")
-        try:
-            assert previous == "sampling"
+        previous = current_config()
+        assert previous.backend == "sampling"
+        with use_config(previous.override(backend="batched")):
             assert get_default_schedule_backend() == "batched"
             assert resolve_schedule_backend(None) is BATCHED
-        finally:
-            set_default_schedule_backend(previous)
+        assert current_config() is previous
         assert get_default_schedule_backend() == "sampling"
 
     def test_unknown_default_rejected(self):
-        with pytest.raises(ValueError):
-            set_default_schedule_backend("bogus")
+        before = current_config()
+        with pytest.raises(ValueError, match="unknown schedule backend 'bogus'"):
+            ExecutionConfig(backend="bogus")
+        assert current_config() is before
         assert get_default_schedule_backend() == "sampling"
 
 
@@ -358,11 +359,9 @@ class TestProblemsDifferential:
         algorithms = resolve_algorithms(
             ["quantum_exact", "quantum_radius", "quantum_source_ecc"]
         )
-        previous = set_default_schedule_backend("sampling")
-        try:
+        config = current_config()
+        with use_config(config.override(backend="sampling")):
             serial = run_sweep_grid(specs, algorithms, jobs=1, base_seed=7)
-            set_default_schedule_backend("batched")
+        with use_config(config.override(backend="batched")):
             parallel = run_sweep_grid(specs, algorithms, jobs=2, base_seed=7)
-        finally:
-            set_default_schedule_backend(previous)
         assert serial == parallel

@@ -1,7 +1,7 @@
 """Differential tests: the numpy compute tier vs the stdlib reference.
 
-The tier contract (:mod:`repro.tier`) is that flipping the process-wide
-default between ``stdlib`` and ``numpy`` can never change a result: the
+The tier contract (:mod:`repro.tier`) is that switching the configured
+tier between ``stdlib`` and ``numpy`` can never change a result: the
 vectorized kernels (:mod:`repro.graphs.vector`) must return the same
 values, in the same (dict) order, and raise the same exceptions as the
 stdlib oracles -- on every generator family, on disconnected/singleton/
@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro import tier
 from repro._numpy import missing_numpy_message
+from repro.config import ExecutionConfig, current_config, use_config
 from repro.analysis.sweep import run_sweep_grid
 from repro.graphs import generators, vector
 from repro.graphs.graph import Graph, GraphError
@@ -45,12 +46,9 @@ settings.register_profile(
 
 @pytest.fixture
 def numpy_tier():
-    """Run the test body under the numpy tier, restoring the default."""
-    previous = tier.set_default_tier(tier.TIER_NUMPY)
-    try:
+    """Run the test body under the numpy tier, restoring the config."""
+    with use_config(current_config().override(tier=tier.TIER_NUMPY)):
         yield
-    finally:
-        tier.set_default_tier(previous)
 
 
 def _stdlib_ecc_list(graph):
@@ -71,15 +69,12 @@ class TestTierRegistry:
             tier.validate_tier_name("cupy")
 
     def test_set_returns_previous_and_restores(self):
-        original = tier.get_default_tier()
-        flipped = "numpy" if original == "stdlib" else "stdlib"
-        previous = tier.set_default_tier(flipped)
-        try:
-            assert previous == original
+        original = current_config()
+        flipped = "numpy" if original.tier == "stdlib" else "stdlib"
+        with use_config(original.override(tier=flipped)):
             assert tier.get_default_tier() == flipped
-        finally:
-            assert tier.set_default_tier(previous) == flipped
-        assert tier.get_default_tier() == original
+        assert current_config() is original
+        assert tier.get_default_tier() == original.tier
 
     def test_resolve(self):
         assert tier.resolve_tier(None) == tier.get_default_tier()
@@ -92,11 +87,8 @@ class TestTierRegistry:
         assert tier.active_numpy("stdlib") is None
 
     def test_active_numpy_stdlib_default(self):
-        previous = tier.set_default_tier("stdlib")
-        try:
+        with use_config(current_config().override(tier="stdlib")):
             assert tier.active_numpy() is None
-        finally:
-            tier.set_default_tier(previous)
 
     def test_missing_numpy_message_is_actionable(self):
         message = missing_numpy_message("the widget")
@@ -104,11 +96,11 @@ class TestTierRegistry:
         assert "repro[numpy]" in message
         assert "--tier stdlib" in message
 
-    def test_set_default_rejects_unknown(self):
-        before = tier.get_default_tier()
-        with pytest.raises(ValueError):
-            tier.set_default_tier("bogus")
-        assert tier.get_default_tier() == before
+    def test_config_rejects_unknown_tier(self):
+        before = current_config()
+        with pytest.raises(ValueError, match="unknown compute tier 'bogus'"):
+            ExecutionConfig(tier="bogus")
+        assert current_config() is before
 
 
 # ----------------------------------------------------------------------
@@ -129,13 +121,11 @@ class TestKernelDifferential:
         same values, same dict order."""
         stdlib_graph = generators.family_for_sweep(family, 600, seed=3)
         numpy_graph = generators.family_for_sweep(family, 600, seed=3)
-        previous = tier.set_default_tier("stdlib")
-        try:
+        config = current_config()
+        with use_config(config.override(tier="stdlib")):
             stdlib_eccs = stdlib_graph.compile().all_eccentricities()
-            tier.set_default_tier("numpy")
+        with use_config(config.override(tier="numpy")):
             numpy_eccs = numpy_graph.compile().all_eccentricities()
-        finally:
-            tier.set_default_tier(previous)
         assert numpy_eccs == stdlib_eccs
         assert list(numpy_eccs) == list(stdlib_eccs)
 
@@ -152,14 +142,11 @@ class TestKernelDifferential:
     def test_derived_oracles_match_across_tiers(self, numpy_tier):
         graph = generators.family_for_sweep("clique_chain", 600, seed=7)
         reference = generators.family_for_sweep("clique_chain", 600, seed=7)
-        previous = tier.set_default_tier("stdlib")
-        try:
+        with use_config(current_config().override(tier="stdlib")):
             expected = (
                 reference.compile().diameter(),
                 reference.compile().radius(),
             )
-        finally:
-            tier.set_default_tier(previous)
         assert (graph.compile().diameter(), graph.compile().radius()) == expected
 
 
@@ -230,12 +217,9 @@ class TestEdgeCases:
         with pytest.raises(GraphError) as stdlib_error:
             stdlib_graph.compile().all_eccentricities()
         numpy_graph = self._disconnected_graph()
-        previous = tier.set_default_tier("numpy")
-        try:
+        with use_config(current_config().override(tier="numpy")):
             with pytest.raises(GraphError) as numpy_error:
                 numpy_graph.compile().all_eccentricities()
-        finally:
-            tier.set_default_tier(previous)
         assert str(numpy_error.value) == str(stdlib_error.value)
 
     def test_kernel_raises_on_disconnected(self):
@@ -348,24 +332,19 @@ class TestTierThreading:
     def test_sweep_records_identical_across_tiers(self):
         specs = grid(["clique_chain", "random_sparse"], [24], seed=9)
         algorithms = resolve_algorithms(["classical_exact", "two_approx"])
-        previous = tier.set_default_tier("stdlib")
-        try:
+        config = current_config()
+        with use_config(config.override(tier="stdlib")):
             stdlib_records = run_sweep_grid(specs, algorithms, base_seed=5)
-            tier.set_default_tier("numpy")
+        with use_config(config.override(tier="numpy")):
             numpy_records = run_sweep_grid(specs, algorithms, base_seed=5)
-        finally:
-            tier.set_default_tier(previous)
         assert [_record_tuple(r) for r in stdlib_records] == [
             _record_tuple(r) for r in numpy_records
         ]
 
     def test_batch_workers_inherit_tier_default(self):
-        previous = tier.set_default_tier("numpy")
-        try:
+        with use_config(current_config().override(tier="numpy")):
             runner = BatchRunner(jobs=2)
             seen = runner.map(_tier_probe, [1, 2, 3, 4])
-        finally:
-            tier.set_default_tier(previous)
         assert seen == ["numpy"] * 4
 
 
@@ -377,7 +356,8 @@ import json
 import sys
 
 from repro.graphs.graph import Graph
-from repro.tier import active_numpy, set_default_tier
+from repro.config import ExecutionConfig, use_config
+from repro.tier import active_numpy
 
 # A tuple-labelled clique chain big enough for the vectorized regime
 # (25 cliques of 24 nodes: n=600; distinct entry/exit bridge nodes per
@@ -393,12 +373,12 @@ for c in range(cliques):
     if c:
         graph.add_edge(("clique", c - 1, 1), ("clique", c, 0))
 
-set_default_tier("numpy")
-assert active_numpy() is not None
-indexed = graph.compile()
-bound = indexed._double_sweep()
-assert bound >= 48 and bound * 8 <= graph.num_nodes, bound
-eccs = indexed.all_eccentricities()
+with use_config(ExecutionConfig(tier="numpy")):
+    assert active_numpy() is not None
+    indexed = graph.compile()
+    bound = indexed._double_sweep()
+    assert bound >= 48 and bound * 8 <= graph.num_nodes, bound
+    eccs = indexed.all_eccentricities()
 out = {
     "hash_randomised": sys.flags.hash_randomization,
     "eccentricities": [[repr(node), value] for node, value in eccs.items()],
