@@ -1,8 +1,9 @@
 """Benchmark: remote dispatch overhead, scaling, stragglers, merge fidelity.
 
 Measures the ``repro.dispatch`` remote backend against the serial
-baseline on a Table-1-style grid, written to ``BENCH_dispatch.json``
-next to the repository root (sibling of ``BENCH_runner.json``):
+baseline on a Table-1-style grid, written with ``--out`` (the committed
+report is ``BENCH_dispatch.json`` at the repository root, sibling of
+``BENCH_runner.json``; under pytest nothing is written):
 
 * **Scaling / overhead** -- the same grid through
   :func:`repro.analysis.sweep.run_sweep_grid` serially and via a local
@@ -62,12 +63,6 @@ from repro.analysis.sweep import run_sweep_grid
 from repro.dispatch import DispatchCoordinator, RemoteDispatch
 from repro.runner import GraphSpec, resolve_algorithms
 from repro.store import ExperimentStore, merge_shards, render_records
-
-#: Where the results land (repository root, next to ROADMAP.md).
-OUTPUT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_dispatch.json",
-)
 
 #: Remote wall-clock may not exceed this multiple of serial when the
 #: machine is too small for real scaling (see module docstring).
@@ -304,7 +299,7 @@ def run_benchmark(smoke: bool = False) -> dict:
     return report
 
 
-def write_report(report: dict, path: str = OUTPUT_PATH) -> str:
+def write_report(report: dict, path: str) -> str:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -325,7 +320,6 @@ def test_dispatch_identical_and_bounded():
     its wall time, so an idle second worker always appears.
     """
     report = run_benchmark(smoke=True)
-    write_report(report)
     assert report["remote_identical"], report
     assert report["merge_identical"], report
     assert report["merged_store_identical"], report
@@ -346,10 +340,11 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="small grid for CI smoke runs")
-    parser.add_argument("--out", default=OUTPUT_PATH,
-                        help="where to write the JSON report")
+    parser.add_argument("--out", default=None, metavar="PATH",
+                        help="write the JSON report here "
+                        "(nothing is written without it)")
     arguments = parser.parse_args()
     outcome = run_benchmark(smoke=arguments.smoke)
-    destination = write_report(outcome, arguments.out)
     print(json.dumps(outcome, indent=2, sort_keys=True))
-    print(f"written to {destination}")
+    if arguments.out is not None:
+        print(f"written to {write_report(outcome, arguments.out)}")

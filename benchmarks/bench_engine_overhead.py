@@ -5,12 +5,13 @@ almost every node idle in almost every round: on a 2,000-node path the
 wavefront is O(1) nodes wide while the dense engine wakes all 2,000 nodes
 for each of the ~2,000 rounds.  This harness measures the wall-clock of the
 same single-source BFS under both engines, checks the outputs and metrics
-are identical, and writes a ``BENCH_engine.json`` next to the repository
-root so later PRs can track the perf trajectory.
+are identical, and with ``--out`` writes the report (the committed one is
+``BENCH_engine.json`` at the repository root) to track the perf
+trajectory.  Under pytest nothing is written.
 
 Run it standalone (no pytest plugins needed)::
 
-    PYTHONPATH=src python benchmarks/bench_engine_overhead.py
+    PYTHONPATH=src python benchmarks/bench_engine_overhead.py --out BENCH_engine.json
 
 or through pytest (the ``test_`` wrapper asserts the >= 3x speedup the
 engine refactor promises)::
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
 
 from repro.algorithms.bfs import run_bfs_tree
@@ -32,12 +32,6 @@ from repro.graphs import generators
 
 #: Size of the path gadget driving the headline measurement.
 PATH_NODES = 2000
-
-#: Where the results land (repository root, next to ROADMAP.md).
-OUTPUT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_engine.json",
-)
 
 
 def _metric_snapshot(metrics):
@@ -115,7 +109,7 @@ def run_benchmark(path_nodes: int = PATH_NODES, smoke: bool = False) -> dict:
     return report
 
 
-def write_report(report: dict, path: str = OUTPUT_PATH) -> str:
+def write_report(report: dict, path: str) -> str:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -125,7 +119,6 @@ def write_report(report: dict, path: str = OUTPUT_PATH) -> str:
 def test_sparse_engine_speedup():
     """The engine refactor's acceptance bar: >= 3x on path-gadget BFS."""
     report = run_benchmark()
-    write_report(report)
     assert report["headline_speedup"] >= 3.0, report
 
 
@@ -138,14 +131,15 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out",
-        default=OUTPUT_PATH,
-        help="where to write the JSON report",
+        default=None,
+        metavar="PATH",
+        help="write the JSON report here (nothing is written without it)",
     )
     args = parser.parse_args(argv)
     outcome = run_benchmark(smoke=args.smoke)
-    destination = write_report(outcome, args.out)
     print(json.dumps(outcome, indent=2, sort_keys=True))
-    print(f"written to {destination}")
+    if args.out is not None:
+        print(f"written to {write_report(outcome, args.out)}")
     return 0
 
 

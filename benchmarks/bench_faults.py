@@ -28,8 +28,10 @@ the workloads:
 
 Everything is deterministic (stateless hashed fault decisions), so the
 report is byte-stable for fixed sizes -- the ``repro bench`` regression
-gate diffs the headline against ``BENCH_baselines.json``.  Results land
-in ``BENCH_faults.json`` next to the repository root.
+gate diffs the headline against ``BENCH_baselines.json``.  Run as a
+script, ``--out BENCH_faults.json`` refreshes the committed report at
+the repository root; without ``--out`` (and under pytest) nothing is
+written.
 
 Run it standalone (no pytest plugins needed)::
 
@@ -45,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
 
 from repro.algorithms.diameter_approx import run_classical_two_approximation
@@ -69,12 +70,6 @@ FAULT_TIMEOUT = 256
 #: variant must succeed at strictly better smoothed odds than the plain
 #: one.
 TARGET_ODDS_RATIO = 1.5
-
-#: Where the results land (repository root, next to ROADMAP.md).
-OUTPUT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_faults.json",
-)
 
 
 def _run_variant(variant: str, graph, seed: int, fault_model):
@@ -213,7 +208,7 @@ def run_benchmark(smoke: bool = False) -> dict:
     return report
 
 
-def write_report(report: dict, path: str = OUTPUT_PATH) -> str:
+def write_report(report: dict, path: str) -> str:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -226,7 +221,6 @@ def test_fault_success_gap():
     plain one (the loss=0 differential identity and the delay-tolerance
     gate are asserted inside the workloads)."""
     report = run_benchmark()
-    write_report(report)
     assert report["headline_speedup"] >= TARGET_ODDS_RATIO, report
 
 
@@ -239,14 +233,15 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out",
-        default=OUTPUT_PATH,
-        help="where to write the JSON report",
+        default=None,
+        metavar="PATH",
+        help="write the JSON report here (nothing is written without it)",
     )
     args = parser.parse_args(argv)
     report = run_benchmark(smoke=args.smoke)
-    destination = write_report(report, args.out)
     print(json.dumps(report, indent=2, sort_keys=True))
-    print(f"written to {destination}")
+    if args.out is not None:
+        print(f"written to {write_report(report, args.out)}")
     if report["headline_speedup"] < TARGET_ODDS_RATIO:
         print(
             f"FAIL: headline success-odds ratio {report['headline_speedup']} "

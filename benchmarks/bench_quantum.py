@@ -26,7 +26,9 @@ This harness measures:
   :data:`repro.core.problems.QUANTUM_PROBLEMS` runs on the batched
   backend and must reproduce its sequential ground-truth oracle.
 
-Results land in ``BENCH_quantum.json`` next to the repository root.
+Run as a script, ``--out BENCH_quantum.json`` refreshes the committed
+report at the repository root; without ``--out`` (and under pytest)
+nothing is written.
 
 Run it standalone (no pytest plugins needed)::
 
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import time
 
@@ -74,12 +75,6 @@ REPEATS = 3
 
 #: Schedule seeds simulated per measurement pass.
 SCHEDULE_SEEDS = 15
-
-#: Where the results land (repository root, next to ROADMAP.md).
-OUTPUT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_quantum.json",
-)
 
 
 def _prepare_schedule(nodes: int, variant: str):
@@ -234,7 +229,7 @@ def run_benchmark(smoke: bool = False) -> dict:
     return report
 
 
-def write_report(report: dict, path: str = OUTPUT_PATH) -> str:
+def write_report(report: dict, path: str) -> str:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -246,7 +241,6 @@ def test_quantum_schedule_speedup():
     the n=3000 exact-diameter (windowed) schedule, with byte-identical
     results (the identity is asserted inside every workload)."""
     report = run_benchmark()
-    write_report(report)
     assert report["headline_speedup"] >= TARGET_SPEEDUP, report
 
 
@@ -259,14 +253,15 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out",
-        default=OUTPUT_PATH,
-        help="where to write the JSON report",
+        default=None,
+        metavar="PATH",
+        help="write the JSON report here (nothing is written without it)",
     )
     args = parser.parse_args(argv)
     report = run_benchmark(smoke=args.smoke)
-    destination = write_report(report, args.out)
     print(json.dumps(report, indent=2, sort_keys=True))
-    print(f"written to {destination}")
+    if args.out is not None:
+        print(f"written to {write_report(report, args.out)}")
     bar = SMOKE_TARGET_SPEEDUP if args.smoke else TARGET_SPEEDUP
     if report["headline_speedup"] < bar:
         print(

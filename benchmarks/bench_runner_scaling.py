@@ -1,8 +1,8 @@
 """Benchmark: batch-runner scaling and engine hot-path before/after.
 
-Two measurements, written to ``BENCH_runner.json`` next to the repository
-root so later PRs can track the perf trajectory (sibling of
-``BENCH_engine.json``):
+Two measurements, written with ``--out`` (the committed report is
+``BENCH_runner.json`` at the repository root, sibling of
+``BENCH_engine.json``; under pytest nothing is written):
 
 * **Across-run parallelism** -- a Table-1-style grid (several graph
   families and sizes, three algorithms per point) executed through
@@ -47,12 +47,6 @@ from repro.engine.scheduler import make_scheduler
 from repro.engine.transport import Transport
 from repro.graphs import generators
 from repro.runner import BatchRunner, GraphSpec, resolve_algorithms
-
-#: Where the results land (repository root, next to ROADMAP.md).
-OUTPUT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_runner.json",
-)
 
 #: Worker count of the headline parallel measurement.
 DEFAULT_JOBS = 4
@@ -258,7 +252,7 @@ def run_benchmark(jobs: int = DEFAULT_JOBS, smoke: bool = False) -> dict:
     return report
 
 
-def write_report(report: dict, path: str = OUTPUT_PATH) -> str:
+def write_report(report: dict, path: str) -> str:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -274,7 +268,6 @@ def test_parallel_records_identical_and_hot_path_faster():
     the assertion).
     """
     report = run_benchmark()
-    write_report(report)
     assert report["grid"]["records_identical"], report
     assert report["hot_path"]["results_identical"], report
     assert report["hot_path"]["keying_speedup"] >= 1.2, report
@@ -288,10 +281,11 @@ if __name__ == "__main__":
                         help="worker processes for the parallel grid run")
     parser.add_argument("--smoke", action="store_true",
                         help="small grid for CI smoke runs")
-    parser.add_argument("--out", default=OUTPUT_PATH,
-                        help="where to write the JSON report")
+    parser.add_argument("--out", default=None, metavar="PATH",
+                        help="write the JSON report here "
+                        "(nothing is written without it)")
     arguments = parser.parse_args()
     outcome = run_benchmark(jobs=arguments.jobs, smoke=arguments.smoke)
-    destination = write_report(outcome, arguments.out)
     print(json.dumps(outcome, indent=2, sort_keys=True))
-    print(f"written to {destination}")
+    if arguments.out is not None:
+        print(f"written to {write_report(outcome, arguments.out)}")

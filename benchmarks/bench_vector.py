@@ -11,7 +11,9 @@ n>=4000 clique chain, numpy tier vs the stdlib dispatch (the acceptance
 bar: >= 5x), results asserted identical.  Engine equivalence (dense ==
 sparse) is gated by ``tests/test_engine_differential.py``.
 
-Results land in ``BENCH_vector.json`` next to the repository root.
+Run as a script, ``--out BENCH_vector.json`` refreshes the committed
+report at the repository root; without ``--out`` (and under pytest)
+nothing is written.
 
 Run it standalone (no pytest plugins needed)::
 
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
 
 from repro.config import current_config, use_config
@@ -43,12 +44,6 @@ TARGET_SPEEDUP = 5.0
 #: Relaxed bar asserted in ``--smoke`` mode (n=1500; smaller graphs
 #: amortise the per-block numpy overhead less, and CI boxes are noisy).
 SMOKE_TARGET_SPEEDUP = 1.5
-
-#: Where the results land (repository root, next to ROADMAP.md).
-OUTPUT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_vector.json",
-)
 
 
 def _time(fn):
@@ -104,7 +99,7 @@ def run_benchmark(smoke: bool = False) -> dict:
     return report
 
 
-def write_report(report: dict, path: str = OUTPUT_PATH) -> str:
+def write_report(report: dict, path: str) -> str:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -116,7 +111,6 @@ def test_vector_oracle_speedup():
     all-eccentricities oracle, byte-identical results (the identity is
     asserted inside the workload)."""
     report = run_benchmark()
-    write_report(report)
     assert report["headline_speedup"] >= TARGET_SPEEDUP, report
 
 
@@ -129,14 +123,15 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out",
-        default=OUTPUT_PATH,
-        help="where to write the JSON report",
+        default=None,
+        metavar="PATH",
+        help="write the JSON report here (nothing is written without it)",
     )
     args = parser.parse_args(argv)
     report = run_benchmark(smoke=args.smoke)
-    destination = write_report(report, args.out)
     print(json.dumps(report, indent=2, sort_keys=True))
-    print(f"written to {destination}")
+    if args.out is not None:
+        print(f"written to {write_report(report, args.out)}")
     bar = SMOKE_TARGET_SPEEDUP if args.smoke else TARGET_SPEEDUP
     if report["headline_speedup"] < bar:
         print(

@@ -516,12 +516,10 @@ def run_sweep_grid(
     say) cannot interleave appends to one shard -- the second raises
     :class:`repro.store.StoreLockError` naming the holder pid.
 
-    ``dispatch`` selects where cells execute: a backend name from
-    :data:`repro.dispatch.DISPATCH_NAMES` (``inprocess`` /
-    ``multiprocessing`` / ``remote``) or a pre-configured backend object
-    such as :class:`repro.dispatch.RemoteDispatch` -- anything offering
-    the BatchRunner mapping surface.  ``None`` (the default) keeps the
-    explicit ``runner`` / ``jobs`` behaviour.  Aggregation, checkpoint
+    ``dispatch`` selects where cells execute: a pre-configured backend
+    object such as :class:`repro.dispatch.RemoteDispatch` -- anything
+    offering the BatchRunner mapping surface.  ``None`` (the default)
+    keeps the explicit ``runner`` / ``jobs`` behaviour.  Aggregation, checkpoint
     appends and progress accounting below are backend-agnostic, so every
     backend inherits the byte-identical-to-serial guarantee.
 

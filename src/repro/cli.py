@@ -837,10 +837,10 @@ def add_grid_options(sub: argparse.ArgumentParser, sizes_default: str) -> None:
     sub.add_argument(
         "--dispatch", default=None, choices=DISPATCH_NAMES,
         help=(
-            "where grid cells execute: 'inprocess' (serial), "
-            "'multiprocessing' (the local --jobs pool) or 'remote' "
-            "(shard over registered dispatch workers; results are "
-            "dispatch-independent, byte-identical to serial)"
+            "'remote' shards grid cells over registered dispatch "
+            "workers (results are dispatch-independent, byte-identical "
+            "to serial); without it cells run locally on --jobs "
+            "processes"
         ),
     )
 

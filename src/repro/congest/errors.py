@@ -41,11 +41,11 @@ class RoundLimitExceededError(CongestSimulationError):
     def for_run(
         cls, max_rounds: int, rounds_completed: int, messages_sent: int
     ) -> "RoundLimitExceededError":
-        """The round-cap abort of the engine's run loops.
+        """The round-cap abort of the engine's round loop.
 
-        One construction site for every loop, so the (enriched) message
-        is identical across the dense, sparse and fault-aware
-        paths and states how far the execution got before the cap.
+        One construction site, so the (enriched) message is identical
+        across the dense and sparse schedulers, with or without a fault
+        plan, and states how far the execution got before the cap.
         """
         return cls(
             f"algorithm did not terminate within {max_rounds} rounds "

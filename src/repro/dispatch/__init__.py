@@ -5,9 +5,8 @@ execute, behind the one mapping surface
 (:class:`repro.runner.batch.BatchRunner`'s ``jobs``/``map``/``imap``)
 that :func:`repro.analysis.sweep.run_sweep_grid` aggregates from:
 
-* ``inprocess`` / ``multiprocessing`` -- the existing serial and
-  process-pool paths, now selectable by name
-  (:func:`resolve_dispatch`);
+* a local :class:`repro.runner.batch.BatchRunner` -- serial with
+  ``--jobs 1``, a process pool with ``--jobs N``;
 * ``remote`` -- a stdlib-socket coordinator/worker pair
   (:class:`DispatchCoordinator`, :mod:`repro.dispatch.worker`) speaking
   length-prefixed JSON frames (:mod:`repro.dispatch.protocol`): workers
@@ -38,7 +37,7 @@ order, and the offline shard merge
 (:func:`repro.store.merge.merge_shards`, ``repro merge``) reproduces the
 exact serial record list from the workers' shard files alone.
 
-CLI surface: ``repro sweep --dispatch {inprocess,multiprocessing,remote}
+CLI surface: ``repro sweep --dispatch remote
 --shard-policy {static,adaptive} --straggler-deadline S
 --dispatch-stats FILE``, ``repro worker join HOST:PORT [--supervise]``,
 ``repro merge [--stats]``, and ``repro serve --dispatch remote`` for

@@ -3,13 +3,11 @@
 :func:`repro.analysis.sweep.run_sweep_grid` aggregates results from
 whatever object offers the :class:`repro.runner.batch.BatchRunner`
 mapping surface (``jobs`` / ``map`` / ``imap`` with ordered results).
-This module names the three ways to provide one:
+There are two ways to provide one:
 
-* ``inprocess`` -- a ``BatchRunner(jobs=1)``: every cell runs serially in
-  the calling process.  The reference backend every other one is proven
-  byte-identical against.
-* ``multiprocessing`` -- a ``BatchRunner`` process pool on the local box
-  (the historical ``--jobs N`` path).
+* a ``BatchRunner`` -- ``jobs=1`` runs every cell serially in the
+  calling process (the reference every other backend is proven
+  byte-identical against); ``jobs=N`` is a process pool on the local box;
 * ``remote`` -- a :class:`RemoteDispatch`: cells are shipped as shards to
   workers registered with a
   :class:`repro.dispatch.coordinator.DispatchCoordinator`, possibly on
@@ -30,8 +28,9 @@ from typing import Any, Iterable, Iterator, List, Optional, Tuple
 from repro.dispatch.protocol import DispatchError, FramedSocket
 from repro.runner.batch import BatchRunner
 
-#: The selectable dispatch backends, in CLI ``--dispatch`` order.
-DISPATCH_NAMES = ("inprocess", "multiprocessing", "remote")
+#: The selectable dispatch backends (CLI ``--dispatch``).  The local
+#: backends are chosen with ``--jobs``, not by name.
+DISPATCH_NAMES = ("remote",)
 
 
 def dispatch_signature(keys: List[str]) -> str:
@@ -213,9 +212,8 @@ def resolve_dispatch(
     """The runner object a ``dispatch`` selection denotes.
 
     ``None`` keeps the caller's ``runner`` (or a fresh
-    ``BatchRunner(jobs=jobs)``); the backend *names* map as documented in
-    :data:`DISPATCH_NAMES`; any other object is assumed to already offer
-    the BatchRunner mapping surface (e.g. a configured
+    ``BatchRunner(jobs=jobs)``); any object other than a name is assumed
+    to already offer the BatchRunner mapping surface (e.g. a configured
     :class:`RemoteDispatch`) and is returned unchanged.
 
     The bare name ``"remote"`` is refused: a remote backend needs a
@@ -226,10 +224,6 @@ def resolve_dispatch(
     if dispatch is None:
         return runner if runner is not None else BatchRunner(jobs=jobs)
     if isinstance(dispatch, str):
-        if dispatch == "inprocess":
-            return BatchRunner(jobs=1)
-        if dispatch == "multiprocessing":
-            return runner if runner is not None else BatchRunner(jobs=jobs)
         if dispatch == "remote":
             raise DispatchError(
                 "dispatch backend 'remote' needs a coordinator: pass a "

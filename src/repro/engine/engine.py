@@ -15,12 +15,12 @@
   event (core accounting is batched, see :mod:`repro.engine.observers`).
 
 ``Network`` keeps its public ``run`` signature and delegates here; both
-schedulers share one round loop.  Faulty links and dynamic topologies
-are in: a network built with a non-null :class:`repro.faults.FaultModel`
-routes through :meth:`ExecutionEngine._run_loop_faulty`, which layers
-message loss/delay, fail-pause crash/restart and per-round edge churn
-over the same scheduler/transport structure (the null model keeps the
-clean loop, byte-identical to the pre-fault engine).
+schedulers and both kinds of run share one round loop.  A network built
+with a non-null :class:`repro.faults.FaultModel` resolves it into a
+:class:`repro.faults.FaultPlan` that the loop and the transport consult
+for message loss/delay, fail-pause crash/restart and per-round edge
+churn; under the null model the plan is ``None`` and every fault branch
+is skipped, which keeps it byte-identical to the pre-fault engine.
 
 Internally the engine represents inboxes *sparsely*: the inbox mapping of a
 round contains exactly the nodes that received at least one message, so the
@@ -99,7 +99,7 @@ class ExecutionEngine:
         self.transport = transport
         self.observers: list = list(observers)
         self._run_depth = 0
-        # Per-engine counter of fault-aware runs: each run of a faulty
+        # Per-engine counter of runs with a fault plan: each run of a faulty
         # network salts its fault stream with this index, so multi-phase
         # algorithms (one ``run`` per phase) draw fresh, reproducible
         # fault patterns per phase instead of replaying round-0 fates.
@@ -140,26 +140,23 @@ class ExecutionEngine:
             scheduler = self.scheduler
         else:
             scheduler = make_scheduler(self.scheduler.name)
-        # The fault model only reroutes execution when it injects
-        # something: the null model takes the exact pre-fault code paths,
-        # which is what keeps it byte-identical to the fault-free
-        # simulator (values, metrics, traffic logs, error messages).
+        # A null fault model resolves no plan: the loop then skips every
+        # fault branch, which is what keeps it byte-identical to the
+        # fault-free simulator (values, metrics, traffic logs, error
+        # messages) and leaves the fault-run counter untouched.
         fault_model = getattr(network, "fault_model", None)
         if fault_model is not None and fault_model.is_null:
             fault_model = None
+        run_index = 0
+        if fault_model is not None:
+            run_index = self._fault_runs
+            self._fault_runs += 1
         self._run_depth += 1
         try:
-            if fault_model is not None:
-                run_index = self._fault_runs
-                self._fault_runs += 1
-                return self._run_loop_faulty(
-                    network, algorithms, scheduler, ExecutionResult,
-                    max_rounds, exact_rounds, record_traffic,
-                    fault_model, run_index,
-                )
             return self._run_loop(
                 network, algorithms, scheduler, ExecutionResult,
                 max_rounds, exact_rounds, record_traffic,
+                fault_model, run_index,
             )
         finally:
             self._run_depth -= 1
@@ -252,9 +249,42 @@ class ExecutionEngine:
         max_rounds: int,
         exact_rounds: Optional[int],
         record_traffic: bool,
+        fault_model=None,
+        run_index: int = 0,
     ):
+        """The round loop of every run (any scheduler, any fault model).
+
+        ``fault_model`` is ``None`` for a fault-free run; otherwise it is
+        resolved into a :class:`repro.faults.FaultPlan` (salted with
+        ``run_index``) that threads four additions through the loop:
+
+        * the plan decides message fates inside
+          :meth:`repro.engine.transport.Transport.deliver` (drop / delay /
+          on-time) and which nodes are down;
+        * delayed messages live in ``pending`` keyed by absolute arrival
+          round and are merged into the inboxes of that round (a normal
+          message from the same sender wins -- it is newer); in-flight
+          deliveries keep the run alive in every termination check, which
+          is how the sparse scheduler's wake logic accounts for them;
+        * crashed nodes are filtered out of the active set (fail-pause:
+          their state is kept) and restarts are pre-registered as
+          scheduler wakes so the sparse policy re-runs a restarted node;
+        * a :class:`repro.engine.observers.FaultObserver` accounts
+          degradation events into the run's metrics, and the model's
+          ``timeout`` tightens ``max_rounds`` so stuck runs fail fast.
+
+        Under a plan, a run that can never progress again -- unfinished
+        nodes, nothing in flight, no wake scheduled, no restart ahead --
+        fails with the round-limit error it would reach by spinning to
+        ``max_rounds``.  The sparse engine raises it at once; the dense
+        engine, which does not track wakes, spins there (an
+        idle-quiescent node sends nothing meanwhile), so both report the
+        same error.  All fault decisions are stateless hashes of their
+        coordinates (see :mod:`repro.faults`), so both engines produce
+        identical faulty executions.
+        """
         pipeline, traffic_observer, indexed = self._begin_run(
-            network, record_traffic
+            network, record_traffic, faulty=fault_model is not None
         )
         metrics = pipeline.metrics
         transport = self.transport
@@ -264,6 +294,32 @@ class ExecutionEngine:
         scheduler.begin_run(algorithms, indexed)
         uses_wakes = scheduler.uses_wakes
         finished_state, unfinished = self._initial_state(algorithms, scheduler)
+
+        plan = None
+        has_crashes = False
+        if fault_model is not None:
+            plan = fault_model.resolve(network._seed, indexed, run_index)
+            if fault_model.timeout is not None:
+                max_rounds = min(max_rounds, fault_model.timeout)
+            # Crash/restart event schedules, inverted to round -> nodes in
+            # the deterministic CSR label order the plan was built in.
+            crash_events: Dict[int, list] = {}
+            for node, at in plan.crash_round.items():
+                crash_events.setdefault(at, []).append(node)
+            restart_events: Dict[int, list] = {}
+            for node, at in plan.restart_round.items():
+                restart_events.setdefault(at, []).append(node)
+            has_crashes = bool(plan.crash_round)
+            has_churn = fault_model.churn > 0.0
+            node_down = plan.node_down
+            if uses_wakes:
+                # Restarted nodes must run at their restart round even
+                # with an empty inbox; registering the wakes up-front also
+                # keeps ``has_scheduled_wakes`` true through the outage, so
+                # the sparse termination logic cannot declare quiescence
+                # while a restart is still ahead.
+                for node, at in plan.restart_round.items():
+                    scheduler.request_wake(node, at)
 
         pipeline.on_run_start(network)
 
@@ -290,29 +346,70 @@ class ExecutionEngine:
         full_sequence = scheduler.all_nodes()
         algorithm_pairs = list(algorithms.items())
 
+        #: In-flight delayed messages: arrival round -> [(sender, target,
+        #: payload)] in delivery order.  Stays empty without a plan.
+        pending: Dict[int, list] = {}
+
         inboxes: Dict[NodeId, Inbox] = {}
         round_number = 0
         while True:
+            # Delayed deliveries scheduled for this round re-enter the
+            # inboxes before any termination check or scheduling decision.
+            # ``setdefault``: an on-time message from the same sender was
+            # sent later and wins over a delayed (older) one; among
+            # delayed messages the earliest-sent wins.
+            if pending:
+                for sender, target, payload in pending.pop(round_number, ()):
+                    inbox = inboxes.get(target)
+                    if inbox is None:
+                        inbox = inbox_pool.pop() if inbox_pool else {}
+                        inboxes[target] = inbox
+                    inbox.setdefault(sender, payload)
+
             if exact_rounds is not None and round_number >= exact_rounds:
                 break
             if exact_rounds is None and round_number > 0:
-                if not inboxes and not has_scheduled_wakes():
+                if not inboxes and not has_scheduled_wakes() and not pending:
                     if unfinished == 0:
                         break
-                    scheduler.check_quiescent(round_number, unfinished)
+                    if plan is None:
+                        scheduler.check_quiescent(round_number, unfinished)
+                    elif uses_wakes and not plan.restarts_pending(round_number):
+                        raise RoundLimitExceededError.for_run(
+                            max_rounds, max_rounds, metrics.messages
+                        )
             if round_number >= max_rounds:
                 raise RoundLimitExceededError.for_run(
                     max_rounds, round_number, metrics.messages
                 )
 
+            if plan is not None:
+                for node in crash_events.pop(round_number, ()):
+                    pipeline.on_node_crashed(round_number, node)
+                for node in restart_events.pop(round_number, ()):
+                    pipeline.on_node_restarted(round_number, node)
+                if has_churn:
+                    for u, v in plan.churned_edges(round_number):
+                        pipeline.on_edge_churned(round_number, u, v)
+
             active = active_nodes(round_number, inboxes)
-            next_inboxes: Dict[NodeId, Inbox] = {}
-            any_message = False
-            inboxes_get = inboxes.get
-            if active is full_sequence:
+            # Down nodes neither run nor drain their wakes (fail-pause);
+            # their inboxes are already empty -- the transport drops
+            # messages whose receiver is down at arrival.
+            if has_crashes:
+                items = [
+                    (node, algorithms[node])
+                    for node in active
+                    if not node_down(round_number, node)
+                ]
+            elif active is full_sequence:
                 items = algorithm_pairs
             else:
                 items = [(node, algorithms[node]) for node in active]
+
+            next_inboxes: Dict[NodeId, Inbox] = {}
+            any_message = False
+            inboxes_get = inboxes.get
             for node, algorithm in items:
                 inbox = inboxes_get(node)
                 if inbox is None:
@@ -322,7 +419,7 @@ class ExecutionEngine:
                     any_message = True
                     deliver(
                         round_number, node, outbox, next_inboxes, pipeline,
-                        inbox_pool,
+                        inbox_pool, plan, pending,
                     )
                 # Recycle the consumed inbox (after delivery, in case the
                 # algorithm returned its inbox as the outbox).  Contract
@@ -359,216 +456,7 @@ class ExecutionEngine:
             inboxes = next_inboxes
 
             if exact_rounds is None and not any_message:
-                if unfinished == 0 and not has_scheduled_wakes():
-                    break
-
-        return self._finish_run(
-            pipeline, traffic_observer, algorithms, result_type,
-            round_number, peak_memory, misses_before, overflows_before,
-        )
-
-    def _run_loop_faulty(
-        self,
-        network,
-        algorithms: Dict[NodeId, NodeAlgorithm],
-        scheduler: Scheduler,
-        result_type,
-        max_rounds: int,
-        exact_rounds: Optional[int],
-        record_traffic: bool,
-        fault_model,
-        run_index: int,
-    ):
-        """The fault-aware round loop (any scheduler, non-null model only).
-
-        A sibling of :meth:`_run_loop` -- kept separate so the clean
-        loop stays byte-identical to the pre-fault engine -- with four
-        additions threaded through the same structure:
-
-        * the resolved :class:`repro.faults.FaultPlan` decides message
-          fates inside :meth:`repro.engine.transport.Transport.deliver_faulty`
-          (drop / delay / on-time) and which nodes are down;
-        * delayed messages live in ``pending`` keyed by absolute arrival
-          round and are merged into the inboxes of that round (a normal
-          message from the same sender wins -- it is newer); in-flight
-          deliveries keep the run alive in every termination check, which
-          is how the sparse scheduler's wake logic accounts for them;
-        * crashed nodes are filtered out of the active set (fail-pause:
-          their state is kept) and restarts are pre-registered as
-          scheduler wakes so the sparse policy re-runs a restarted node;
-        * a :class:`repro.engine.observers.FaultObserver` accounts
-          degradation events into the run's metrics, and the model's
-          ``timeout`` tightens ``max_rounds`` so stuck runs fail fast.
-
-        A run that can never progress again -- unfinished nodes, nothing
-        in flight, no wake scheduled, no restart ahead -- fails with the
-        round-limit error it would reach by spinning to ``max_rounds``.
-        The sparse engine raises it at once; the dense engine, which does
-        not track wakes, spins there (an idle-quiescent node sends nothing
-        meanwhile), so both report the same error.  All fault decisions
-        are stateless hashes of their coordinates (see
-        :mod:`repro.faults`), so both engines produce identical faulty
-        executions.
-        """
-        pipeline, traffic_observer, indexed = self._begin_run(
-            network, record_traffic, faulty=True
-        )
-        metrics = pipeline.metrics
-        transport = self.transport
-
-        plan = fault_model.resolve(network._seed, indexed, run_index)
-        if fault_model.timeout is not None:
-            max_rounds = min(max_rounds, fault_model.timeout)
-        # Crash/restart event schedules, inverted to round -> nodes in the
-        # deterministic CSR label order the plan was built in.
-        crash_events: Dict[int, list] = {}
-        for node, at in plan.crash_round.items():
-            crash_events.setdefault(at, []).append(node)
-        restart_events: Dict[int, list] = {}
-        for node, at in plan.restart_round.items():
-            restart_events.setdefault(at, []).append(node)
-        has_crashes = bool(plan.crash_round)
-        has_churn = fault_model.churn > 0.0
-
-        misses_before = transport.cache_misses
-        overflows_before = transport.cache_overflows
-
-        scheduler.begin_run(algorithms, indexed)
-        uses_wakes = scheduler.uses_wakes
-        finished_state, unfinished = self._initial_state(algorithms, scheduler)
-        if uses_wakes:
-            # Restarted nodes must run at their restart round even with an
-            # empty inbox; registering the wakes up-front also keeps
-            # ``has_scheduled_wakes`` true through the outage, so the
-            # sparse termination logic cannot declare quiescence while a
-            # restart is still ahead.
-            for node, at in plan.restart_round.items():
-                scheduler.request_wake(node, at)
-
-        pipeline.on_run_start(network)
-
-        deliver_faulty = transport.deliver_faulty
-        memory_hook = pipeline.memory_hook
-        on_round_end = pipeline.on_round_end
-        on_node_crashed = pipeline.on_node_crashed
-        on_node_restarted = pipeline.on_node_restarted
-        on_edge_churned = pipeline.on_edge_churned
-        active_nodes = scheduler.active_nodes
-        request_wake = scheduler.request_wake
-        has_scheduled_wakes = scheduler.has_scheduled_wakes
-        node_down = plan.node_down
-        inbox_pool: list = []
-        peak_memory = 0
-        full_sequence = scheduler.all_nodes()
-        algorithm_pairs = list(algorithms.items())
-
-        #: In-flight delayed messages: arrival round -> [(sender, target,
-        #: payload)] in delivery order.
-        pending: Dict[int, list] = {}
-
-        inboxes: Dict[NodeId, Inbox] = {}
-        round_number = 0
-        while True:
-            # Delayed deliveries scheduled for this round re-enter the
-            # inboxes before any termination check or scheduling decision.
-            # ``setdefault``: an on-time message from the same sender was
-            # sent later and wins over a delayed (older) one; among
-            # delayed messages the earliest-sent wins.
-            arrivals = pending.pop(round_number, None)
-            if arrivals:
-                for sender, target, payload in arrivals:
-                    inbox = inboxes.get(target)
-                    if inbox is None:
-                        inbox = inbox_pool.pop() if inbox_pool else {}
-                        inboxes[target] = inbox
-                    inbox.setdefault(sender, payload)
-
-            if exact_rounds is not None and round_number >= exact_rounds:
-                break
-            if exact_rounds is None and round_number > 0:
-                if not inboxes and not has_scheduled_wakes() and not pending:
-                    if unfinished == 0:
-                        break
-                    if uses_wakes and not plan.restarts_pending(round_number):
-                        raise RoundLimitExceededError.for_run(
-                            max_rounds, max_rounds, metrics.messages
-                        )
-            if round_number >= max_rounds:
-                raise RoundLimitExceededError.for_run(
-                    max_rounds, round_number, metrics.messages
-                )
-
-            for node in crash_events.pop(round_number, ()):
-                on_node_crashed(round_number, node)
-            for node in restart_events.pop(round_number, ()):
-                on_node_restarted(round_number, node)
-            if has_churn:
-                for u, v in plan.churned_edges(round_number):
-                    on_edge_churned(round_number, u, v)
-
-            active = active_nodes(round_number, inboxes)
-            # Down nodes neither run nor drain their wakes (fail-pause);
-            # their inboxes are already empty -- the transport drops
-            # messages whose receiver is down at arrival.
-            if has_crashes:
-                items = [
-                    (node, algorithms[node])
-                    for node in active
-                    if not node_down(round_number, node)
-                ]
-            elif active is full_sequence:
-                items = algorithm_pairs
-            else:
-                items = [(node, algorithms[node]) for node in active]
-
-            next_inboxes: Dict[NodeId, Inbox] = {}
-            any_message = False
-            inboxes_get = inboxes.get
-            for node, algorithm in items:
-                inbox = inboxes_get(node)
-                if inbox is None:
-                    inbox = inbox_pool.pop() if inbox_pool else {}
-                outbox = algorithm.on_round(round_number, inbox)
-                if outbox:
-                    any_message = True
-                    deliver_faulty(
-                        round_number, node, outbox, next_inboxes, pipeline,
-                        inbox_pool, plan, pending,
-                    )
-                if inbox:
-                    inbox.clear()
-                inbox_pool.append(inbox)
-                memory = algorithm.memory_bits()
-                if memory is not None:
-                    if memory > peak_memory:
-                        peak_memory = memory
-                    if memory_hook is not None:
-                        memory_hook(node, memory)
-                finished = algorithm.finished
-                if finished != finished_state[node]:
-                    finished_state[node] = finished
-                    unfinished += -1 if finished else 1
-                if getattr(algorithm, "_wake_requests", None):
-                    requests = algorithm.consume_wake_requests()
-                    if uses_wakes:
-                        for request in requests:
-                            request_wake(
-                                node,
-                                round_number + 1
-                                if request is None
-                                else max(request, round_number + 1),
-                            )
-            on_round_end(round_number)
-
-            round_number += 1
-            inboxes = next_inboxes
-
-            if exact_rounds is None and not any_message:
-                if (
-                    unfinished == 0
-                    and not has_scheduled_wakes()
-                    and not pending
-                ):
+                if unfinished == 0 and not has_scheduled_wakes() and not pending:
                     break
 
         return self._finish_run(

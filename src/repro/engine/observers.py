@@ -69,7 +69,7 @@ class MetricsObserver:
     def on_run_end(self, metrics: ExecutionMetrics) -> None:
         """Called once when a run completes normally (not on error)."""
 
-    # -- fault-layer events (only emitted by fault-aware runs) ----------
+    # -- fault-layer events (only emitted by runs with a fault plan) ----
     def on_message_dropped(
         self, round_number: int, sender: NodeId, receiver: NodeId, reason: str
     ) -> None:
@@ -252,7 +252,7 @@ class CoreMetricsObserver(MetricsObserver):
 class FaultObserver(MetricsObserver):
     """Account fault-layer events into an :class:`ExecutionMetrics`.
 
-    Attached by the engine's fault-aware run loop next to the
+    Attached by the engine to every run with a fault plan, next to the
     :class:`CoreMetricsObserver` (sharing its metrics object), so faulty
     runs report their degradation -- dropped/delayed messages, crash and
     restart events, churned (edge, round) pairs -- alongside the ordinary

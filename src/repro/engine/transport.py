@@ -18,7 +18,11 @@ outbox and its neighbour's next-round inbox:
   rounds, so identical payloads are measured once;
 * the bandwidth policy: in strict mode an oversized message raises
   :class:`repro.congest.errors.BandwidthExceededError`, otherwise the
-  violation is only reported to the metrics pipeline.
+  violation is only reported to the metrics pipeline;
+* the fault plan of a faulty run (:class:`repro.faults.FaultPlan`), which
+  drops or delays a message after it has been accounted.  Clean and
+  faulty runs share the one per-message loop of :meth:`Transport.deliver`;
+  without a plan the fate checks are skipped.
 
 Memo cache.  Two tiers, tried hash-first:
 
@@ -243,6 +247,8 @@ class Transport:
         next_inboxes: Dict[NodeId, Dict[NodeId, Any]],
         pipeline: MetricsPipeline,
         inbox_pool: Optional[List[Dict[NodeId, Any]]] = None,
+        plan=None,
+        pending: Optional[Dict[int, List[Tuple[NodeId, NodeId, Any]]]] = None,
     ) -> None:
         """Validate, measure, account and enqueue one node's outbox.
 
@@ -253,12 +259,27 @@ class Transport:
         before being allocated.  The outbox's totals are added to
         ``pipeline.metrics`` after its last message; ``pipeline.message_hook``
         sees every message, before a strict bandwidth violation raises.
+
+        With a :class:`repro.faults.FaultPlan` as ``plan``, the plan then
+        decides each message's fate.  A faulty network does not change
+        what a node *sends*: every message consumes bandwidth and appears
+        in traffic logs whether or not it arrives.  The fate is checked in
+        physical order: a churned (down) edge carries nothing; then random
+        loss; then the arrival-time crash check (a delayed message
+        arriving while its receiver is down is lost too); then delay,
+        which parks the message in ``pending`` (keyed by absolute arrival
+        round -- the engine merges it into the inboxes of that round)
+        instead of ``next_inboxes``.
         """
         neighbors = self._neighbor_sets.get(sender, ())
         budget = self.bandwidth_bits
         measure = self.measure
         hook = pipeline.message_hook
         next_inboxes_get = next_inboxes.get
+        if plan is not None:
+            edge_down = plan.edge_down
+            message_fate = plan.message_fate
+            node_down = plan.node_down
         last = _NO_PAYLOAD
         largest = bits = violations = 0
         for target, payload in outbox.items():
@@ -277,6 +298,25 @@ class Transport:
                 violations += 1
                 if self.strict_bandwidth:
                     raise _over_budget(round_number, sender, target, size, budget)
+            if plan is not None:
+                if edge_down(round_number, sender, target):
+                    pipeline.on_message_dropped(round_number, sender, target, "churn")
+                    continue
+                fate = message_fate(round_number, sender, target)
+                if fate < 0:
+                    pipeline.on_message_dropped(round_number, sender, target, "loss")
+                    continue
+                arrival = round_number + 1 + fate
+                if node_down(arrival, target):
+                    pipeline.on_message_dropped(round_number, sender, target, "crash")
+                    continue
+                if fate:
+                    pipeline.on_message_delayed(round_number, sender, target, arrival)
+                    bucket = pending.get(arrival)
+                    if bucket is None:
+                        bucket = pending[arrival] = []
+                    bucket.append((sender, target, payload))
+                    continue
             inbox = next_inboxes_get(target)
             if inbox is None:
                 inbox = inbox_pool.pop() if inbox_pool else {}
@@ -284,82 +324,9 @@ class Transport:
             inbox[sender] = payload
         _account(pipeline.metrics, len(outbox), bits, largest, violations)
 
-    # ------------------------------------------------------------------
-    def deliver_faulty(
-        self,
-        round_number: int,
-        sender: NodeId,
-        outbox: Dict[NodeId, Any],
-        next_inboxes: Dict[NodeId, Dict[NodeId, Any]],
-        pipeline: MetricsPipeline,
-        inbox_pool: Optional[List[Dict[NodeId, Any]]],
-        plan,
-        pending: Dict[int, List[Tuple[NodeId, NodeId, Any]]],
-    ) -> None:
-        """:meth:`deliver` with the fault plan consulted per message.
-
-        The clean prefix is identical to :meth:`deliver` -- neighbour
-        contract, measurement, accounting, ``message_hook``, strict
-        bandwidth -- because a faulty network does not change what a node
-        *sends*: every message consumes bandwidth and appears in traffic
-        logs whether or not it arrives.  After accounting, the plan
-        decides the fate, checked in physical order: a churned (down)
-        edge carries nothing; then random loss; then the arrival-time
-        crash check (a delayed message arriving while its receiver is
-        down is lost too); then delay, which parks the message in
-        ``pending`` (keyed by absolute arrival round -- the engine merges
-        it into the inboxes of that round) instead of ``next_inboxes``.
-        """
-        neighbors = self._neighbor_sets.get(sender, ())
-        budget = self.bandwidth_bits
-        measure = self.measure
-        hook = pipeline.message_hook
-        next_inboxes_get = next_inboxes.get
-        edge_down = plan.edge_down
-        message_fate = plan.message_fate
-        node_down = plan.node_down
-        last = _NO_PAYLOAD
-        largest = bits = violations = 0
-        for target, payload in outbox.items():
-            if target not in neighbors:
-                raise _non_neighbour(sender, target)
-            if payload is not last:
-                last = payload
-                size = measure(payload)
-                violation = size > budget
-                if size > largest:
-                    largest = size
-            bits += size
-            if hook is not None:
-                hook(round_number, sender, target, payload, size, violation)
-            if violation:
-                violations += 1
-                if self.strict_bandwidth:
-                    raise _over_budget(round_number, sender, target, size, budget)
-            if edge_down(round_number, sender, target):
-                pipeline.on_message_dropped(round_number, sender, target, "churn")
-                continue
-            fate = message_fate(round_number, sender, target)
-            if fate < 0:
-                pipeline.on_message_dropped(round_number, sender, target, "loss")
-                continue
-            arrival = round_number + 1 + fate
-            if node_down(arrival, target):
-                pipeline.on_message_dropped(round_number, sender, target, "crash")
-                continue
-            if fate:
-                pipeline.on_message_delayed(round_number, sender, target, arrival)
-                bucket = pending.get(arrival)
-                if bucket is None:
-                    bucket = pending[arrival] = []
-                bucket.append((sender, target, payload))
-                continue
-            inbox = next_inboxes_get(target)
-            if inbox is None:
-                inbox = inbox_pool.pop() if inbox_pool else {}
-                next_inboxes[target] = inbox
-            inbox[sender] = payload
-        _account(pipeline.metrics, len(outbox), bits, largest, violations)
+    #: The name ``perfbench/spans.py`` traces alongside ``deliver``; the
+    #: engine only ever calls ``deliver``.
+    deliver_faulty = deliver
 
 
 def _account(metrics, messages: int, bits: int, largest: int, violations: int) -> None:

@@ -42,8 +42,9 @@ the CLI ``--loss/--crash/--churn`` flags install it with
 :func:`repro.config.use_config`, the config travels to
 :class:`repro.runner.batch.BatchRunner` pool workers and is stamped into
 :func:`repro.store.provenance.collect_provenance`.  The null model is
-guaranteed byte-identical to the fault-free path: the engine only enters
-its fault-aware loop when :attr:`FaultModel.is_null` is false.
+guaranteed byte-identical to the fault-free path: the engine resolves a
+:class:`FaultPlan` only when :attr:`FaultModel.is_null` is false, and its
+one round loop skips every fault branch without a plan.
 """
 
 from __future__ import annotations

@@ -222,6 +222,14 @@ class GridRequest:
                 f"unknown grid request fields {sorted(unknown)} "
                 f"(allowed: {sorted(known)})"
             )
+        jobs = int(data.get("jobs", 1))
+        dispatch = data.get("dispatch")
+        # Requests stored before the local dispatch names were dropped:
+        # "inprocess" was --jobs 1 and "multiprocessing" the --jobs pool.
+        if dispatch == "inprocess":
+            dispatch, jobs = None, 1
+        elif dispatch == "multiprocessing":
+            dispatch = None
         fault = data.get("fault")
         if fault is not None and not isinstance(fault, FaultModel):
             if not isinstance(fault, Mapping):
@@ -234,11 +242,11 @@ class GridRequest:
             kind=data.get("kind", "sweep"),
             diameter=data.get("diameter"),
             seed=int(data.get("seed", 0)),
-            jobs=int(data.get("jobs", 1)),
+            jobs=jobs,
             engine=data.get("engine"),
             backend=data.get("backend"),
             tier=data.get("tier"),
-            dispatch=data.get("dispatch"),
+            dispatch=dispatch,
             fault=fault,
         )
 

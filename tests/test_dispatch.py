@@ -14,6 +14,7 @@ path use real subprocess workers, as the CLI would.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 import socket
@@ -47,7 +48,9 @@ from repro.dispatch.worker import (
 )
 from repro.faults import FaultModel
 from repro.runner import BatchRunner, GraphSpec, resolve_algorithms
+from repro.service import GridRequest, JobLedger, execute_grid_request
 from repro.store import merge_shards, render_records
+from repro.store.jsonl import append_jsonl_line
 
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -135,13 +138,13 @@ class TestBackendResolution:
         built = resolve_dispatch(None, jobs=2)
         assert isinstance(built, BatchRunner) and built.jobs == 2
 
-    def test_inprocess_is_serial(self):
-        backend = resolve_dispatch("inprocess", jobs=8)
-        assert isinstance(backend, BatchRunner) and backend.jobs == 1
-
-    def test_multiprocessing_uses_jobs(self):
-        backend = resolve_dispatch("multiprocessing", jobs=3)
-        assert isinstance(backend, BatchRunner) and backend.jobs == 3
+    def test_local_names_refused(self):
+        # The local backends are chosen with ``jobs``, not by name.
+        for name in ("inprocess", "multiprocessing"):
+            with pytest.raises(
+                DispatchError, match=r"unknown dispatch backend .*available: remote\)"
+            ):
+                resolve_dispatch(name, jobs=3)
 
     def test_bare_remote_refused(self):
         with pytest.raises(DispatchError, match="needs a coordinator"):
@@ -156,7 +159,7 @@ class TestBackendResolution:
         assert resolve_dispatch(backend) is backend
 
     def test_names_are_the_cli_choices(self):
-        assert DISPATCH_NAMES == ("inprocess", "multiprocessing", "remote")
+        assert DISPATCH_NAMES == ("remote",)
 
     def test_signature_depends_on_keys(self):
         first = dispatch_signature(["a", "b"])
@@ -290,13 +293,28 @@ class TestRemoteEndToEnd:
         with pytest.raises(DispatchError, match="could not reach"):
             run_sweep_grid(specs, table, base_seed=5, dispatch=backend)
 
-    def test_dispatch_names_resolve_identically(self):
-        specs, table = _grid(sizes=(10,))
-        serial = run_sweep_grid(specs, table, base_seed=7)
+    def test_legacy_ledger_dispatch_names_export_identically(self, tmp_path):
+        """Jobs a daemon stored with the dropped local dispatch names still
+        load from the ledger and export the bytes of a serial run."""
+        request = GridRequest(
+            families=("cycle", "clique_chain"), sizes=(10,),
+            algorithms=("classical_exact", "two_approx"), seed=7, jobs=2,
+        )
+        serial = render_records(execute_grid_request(request), "jsonl")
+        ledger = JobLedger(tmp_path / "jobs.jsonl")
         for name in ("inprocess", "multiprocessing"):
-            assert run_sweep_grid(
-                specs, table, base_seed=7, dispatch=name
-            ) == serial
+            stored = dict(request.to_dict(), dispatch=name)
+            append_jsonl_line(ledger.path, {
+                "kind": "job", "schema": 1, "job_id": name, "tenant": "t",
+                "request": stored, "store_name": name, "total": 4,
+            })
+        replayed = ledger.replay()
+        assert sorted(replayed) == ["inprocess", "multiprocessing"]
+        assert replayed["inprocess"].request == dataclasses.replace(request, jobs=1)
+        assert replayed["multiprocessing"].request == request
+        for record in replayed.values():
+            records = execute_grid_request(record.request)
+            assert render_records(records, "jsonl") == serial
 
 
 def _spawn_worker(address, shard_dir, name, heartbeat=0.5):

@@ -35,6 +35,7 @@ from repro.engine import (
     get_default_engine,
     make_scheduler,
 )
+from repro.faults import FaultModel
 from repro.graphs import generators
 
 ENGINES = list(ENGINE_NAMES)
@@ -249,14 +250,33 @@ class TestSelfWakes:
         assert outcomes["sparse"][0] == [1, 2, 3]
 
     def test_sparse_deadlock_fails_fast(self):
-        network = Network(generators.path_graph(3), engine="sparse")
-        with pytest.raises(RoundLimitExceededError, match="wake_next_round"):
-            network.run(_factory(_SilentlyStuck), max_rounds=10_000)
+        # The null model resolves no fault plan, so it keeps the message.
+        for fault_model in (None, FaultModel()):
+            network = Network(
+                generators.path_graph(3), engine="sparse", fault_model=fault_model
+            )
+            with pytest.raises(RoundLimitExceededError, match="wake_next_round"):
+                network.run(_factory(_SilentlyStuck), max_rounds=10_000)
 
     def test_dense_spins_to_round_limit(self):
         network = Network(generators.path_graph(3), engine="dense")
         with pytest.raises(RoundLimitExceededError, match="did not terminate"):
             network.run(_factory(_SilentlyStuck), max_rounds=17)
+
+    def test_stuck_run_under_timeout_fails_alike_on_both_engines(self):
+        # Under a fault plan, sparse raises at once the error that dense
+        # reaches by spinning to the timeout.
+        errors = {}
+        for engine in ENGINES:
+            network = Network(
+                generators.path_graph(3), engine=engine,
+                fault_model=FaultModel(timeout=17),
+            )
+            with pytest.raises(RoundLimitExceededError) as excinfo:
+                network.run(_factory(_SilentlyStuck), max_rounds=10_000)
+            errors[engine] = (str(excinfo.value), excinfo.value.rounds_completed)
+        assert errors["dense"] == errors["sparse"]
+        assert errors["sparse"][1] == 17
 
     def test_wake_requests_are_drained(self):
         node = NodeAlgorithm(0, [1], 2)

@@ -1,10 +1,11 @@
 """Tests of the deterministic fault-injection layer (:mod:`repro.faults`).
 
 Covers the model/registry surface, the stateless per-event decision
-hashes, the engine's fault-aware loop (loss, delay, crash/restart,
-churn), the retry helpers and the resilient BFS built on them, and the
-sweep/store integration (``success``/``failure_reason`` records, fault-
-aware task keys, provenance stamping, serial == parallel).
+hashes, the fault branches of the engine's round loop and transport
+(loss, delay, crash/restart, churn, timeout), the retry helpers and the
+resilient BFS built on them, and the sweep/store integration
+(``success``/``failure_reason`` records, fault-aware task keys,
+provenance stamping, serial == parallel).
 
 The headline guarantees are differential:
 
@@ -36,6 +37,7 @@ from repro.congest.errors import CongestSimulationError, RoundLimitExceededError
 from repro.congest.network import Network
 from repro.congest.node import NodeAlgorithm
 from repro.config import ExecutionConfig, current_config, use_config
+from repro.engine import MetricsObserver
 from repro.faults import (
     FAULT_MODELS,
     NULL_FAULT_MODEL,
@@ -276,6 +278,67 @@ class TestNullModelIdentity:
         assert metrics.node_crashes == 0
         assert metrics.node_restarts == 0
         assert metrics.churned_edge_rounds == 0
+
+
+class TestTimeoutOnlyModel:
+    """A model with only a ``timeout`` injects nothing, but it is not null:
+    the run resolves a fault plan and takes every fault branch of the
+    round loop and the transport."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_terminating_bfs_matches_clean_run(self, engine):
+        graph = _graph()
+        model = FaultModel(timeout=500)
+        assert not model.is_null
+        clean = run_bfs_tree(Network(graph, seed=3, engine=engine), _root(graph))
+        timed = run_bfs_tree(
+            Network(graph, seed=3, engine=engine, fault_model=model), _root(graph)
+        )
+        assert (timed.parent, timed.distance, timed.children) == (
+            clean.parent, clean.distance, clean.children
+        )
+        assert timed.metrics == clean.metrics
+
+
+class _SendOnce(NodeAlgorithm):
+    """Node 0 sends one message in round 0; every node then finishes."""
+
+    def on_round(self, round_number, inbox):
+        self.finished = True
+        if self.node_id == 0 and round_number == 0:
+            return {1: 1}
+        return {}
+
+
+class _EventOrder(MetricsObserver):
+    def __init__(self):
+        self.events = []
+
+    def on_message(self, round_number, sender, receiver, payload, size_bits, violation):
+        self.events.append(("message", round_number, sender, receiver))
+
+    def on_message_dropped(self, round_number, sender, receiver, reason):
+        self.events.append(("dropped", round_number, sender, receiver, reason))
+
+
+class TestFaultEventOrder:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_message_hook_fires_before_drop(self, engine):
+        network = Network(
+            generators.path_graph(2), seed=1, engine=engine,
+            fault_model=FaultModel(loss=1.0, timeout=8),
+        )
+        observer = _EventOrder()
+        network.add_observer(observer)
+        result = network.run(
+            lambda node, net: _SendOnce(
+                node, net.graph.neighbors(node), net.num_nodes, net.node_rng(node)
+            )
+        )
+        assert observer.events == [
+            ("message", 0, 0, 1), ("dropped", 0, 0, 1, "loss"),
+        ]
+        assert result.metrics.messages == result.metrics.dropped_messages == 1
 
 
 class TestLossFaults:

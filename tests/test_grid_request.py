@@ -77,10 +77,12 @@ class TestValidation:
             _request(sizes=(0,)).validate()
 
     def test_unknown_dispatch(self):
-        with pytest.raises(ValueError, match="unknown dispatch backend"):
-            _request(dispatch="carrier-pigeon").validate()
-        for name in ("inprocess", "multiprocessing", "remote"):
-            _request(dispatch=name).validate()
+        for name in ("carrier-pigeon", "inprocess", "multiprocessing"):
+            with pytest.raises(
+                ValueError, match=r"unknown dispatch backend .*available: remote\)"
+            ):
+                _request(dispatch=name).validate()
+        _request(dispatch="remote").validate()
 
 
 class TestSeedStreams:
@@ -122,6 +124,14 @@ class TestRoundTrip:
         data = _request().to_dict()
         del data["dispatch"]
         assert GridRequest.from_dict(data).dispatch is None
+
+    def test_legacy_dispatch_names_map_to_jobs(self):
+        # Stored before the local dispatch names were dropped: "inprocess"
+        # was --jobs 1, "multiprocessing" the --jobs pool.
+        data = dict(_request(jobs=4).to_dict(), dispatch="inprocess")
+        assert GridRequest.from_dict(data) == _request(jobs=1)
+        data["dispatch"] = "multiprocessing"
+        assert GridRequest.from_dict(data) == _request(jobs=4)
 
     def test_unknown_field_rejected(self):
         data = _request().to_dict()
