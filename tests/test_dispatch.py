@@ -138,13 +138,23 @@ class TestBackendResolution:
         built = resolve_dispatch(None, jobs=2)
         assert isinstance(built, BatchRunner) and built.jobs == 2
 
-    def test_local_names_refused(self):
-        # The local backends are chosen with ``jobs``, not by name.
-        for name in ("inprocess", "multiprocessing"):
-            with pytest.raises(
-                DispatchError, match=r"unknown dispatch backend .*available: remote\)"
-            ):
-                resolve_dispatch(name, jobs=3)
+    def test_inprocess_is_serial(self):
+        # In-process serial execution is ``jobs=1``; the old name is refused.
+        backend = resolve_dispatch(None, jobs=1)
+        assert isinstance(backend, BatchRunner) and backend.jobs == 1
+        with pytest.raises(
+            DispatchError, match=r"unknown dispatch backend .*available: remote\)"
+        ):
+            resolve_dispatch("inprocess", jobs=8)
+
+    def test_multiprocessing_uses_jobs(self):
+        # The local pool is ``jobs=N``; the old name is refused.
+        backend = resolve_dispatch(None, jobs=3)
+        assert isinstance(backend, BatchRunner) and backend.jobs == 3
+        with pytest.raises(
+            DispatchError, match=r"unknown dispatch backend .*available: remote\)"
+        ):
+            resolve_dispatch("multiprocessing", jobs=3)
 
     def test_bare_remote_refused(self):
         with pytest.raises(DispatchError, match="needs a coordinator"):
