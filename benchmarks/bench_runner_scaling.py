@@ -100,9 +100,14 @@ class LegacyTransport(Transport):
         return size
 
     def deliver(self, round_number, sender, outbox, next_inboxes, pipeline,
-                inbox_pool=None):
+                inbox_pool=None, plan=None, pending=None):
         from repro.congest.errors import BandwidthExceededError, ProtocolError
 
+        if plan is not None:
+            raise ValueError(
+                "LegacyTransport replicates the fault-free hot path only; "
+                "it cannot deliver under a fault plan"
+            )
         graph = self.graph
         budget = self.bandwidth_bits
         for target, payload in outbox.items():

@@ -17,6 +17,7 @@ primitives used throughout the library.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.congest.metrics import ExecutionMetrics
@@ -118,7 +119,7 @@ def run_bfs_tree(network: Network, root: NodeId) -> BFSTreeResult:
 
     execution = network.run(
         lambda node, net: _BFSNode(
-            node, net.neighbors(node), net.num_nodes, net.node_rng(node), root
+            node, net.neighbors(node), net.num_nodes, partial(net.node_rng, node), root
         )
     )
     parent = {node: data["parent"] for node, data in execution.results.items()}

@@ -21,6 +21,7 @@ for rebuilding it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, Optional, Tuple
 
 from repro.congest.metrics import ExecutionMetrics
@@ -139,7 +140,7 @@ def run_tree_broadcast(
     """
     execution = network.run(
         lambda node, net: _TreeBroadcastNode(
-            node, net.neighbors(node), net.num_nodes, net.node_rng(node),
+            node, net.neighbors(node), net.num_nodes, partial(net.node_rng, node),
             tree, root_value,
         )
     )
@@ -158,7 +159,7 @@ def _run_aggregate(
         raise ValueError(f"no local value provided for nodes {missing[:3]!r}...")
     execution = network.run(
         lambda node, net: _TreeAggregateNode(
-            node, net.neighbors(node), net.num_nodes, net.node_rng(node),
+            node, net.neighbors(node), net.num_nodes, partial(net.node_rng, node),
             tree, values[node], mode,
         )
     )

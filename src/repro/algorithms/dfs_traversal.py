@@ -36,6 +36,7 @@ test-suite use in place of the simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.algorithms.bfs import BFSTreeResult
@@ -186,7 +187,7 @@ def _run_tour(
 ) -> EulerTourResult:
     execution = network.run(
         lambda node, net: _EulerTourNode(
-            node, net.neighbors(node), net.num_nodes, net.node_rng(node),
+            node, net.neighbors(node), net.num_nodes, partial(net.node_rng, node),
             tree, start, budget, member,
         ),
         max_rounds=budget + 4,

@@ -17,6 +17,7 @@ are comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from repro.congest.metrics import ExecutionMetrics
@@ -74,7 +75,7 @@ def run_leader_election(network: Network) -> LeaderElectionResult:
     """
     execution = network.run(
         lambda node, net: _MaxIdFloodingNode(
-            node, net.neighbors(node), net.num_nodes, net.node_rng(node)
+            node, net.neighbors(node), net.num_nodes, partial(net.node_rng, node)
         )
     )
     leaders = set(map(identifier_key, execution.results.values()))

@@ -20,6 +20,7 @@ optimization phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.congest.metrics import ExecutionMetrics
@@ -112,7 +113,7 @@ def run_multi_source_bfs(
 
     execution = network.run(
         lambda node, net: _MultiSourceBFSNode(
-            node, net.neighbors(node), net.num_nodes, net.node_rng(node),
+            node, net.neighbors(node), net.num_nodes, partial(net.node_rng, node),
             node in source_set,
         )
     )

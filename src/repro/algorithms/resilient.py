@@ -30,6 +30,7 @@ network is reliable), costing a constant factor in messages and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Optional
 
 from repro.algorithms.diameter_approx import ApproxDiameterResult
@@ -138,7 +139,7 @@ def run_resilient_bfs(
             node,
             net.neighbors(node),
             net.num_nodes,
-            net.node_rng(node),
+            partial(net.node_rng, node),
             root,
             max_retries,
         )

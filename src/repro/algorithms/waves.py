@@ -39,6 +39,7 @@ paper's scheduling (Section "Design choices" of DESIGN.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.congest.metrics import ExecutionMetrics
@@ -89,22 +90,58 @@ class _WaveNode(NodeAlgorithm):
             self.wake_at(schedule.start_round)
 
     def on_round(self, round_number: int, inbox: Inbox) -> Optional[Outbox]:
-        if round_number >= self.duration:
+        if round_number >= self.duration - 1:
             self.finished = True
-            return {}
-        if round_number == self.duration - 1:
-            self.finished = True
+            if round_number >= self.duration:
+                return {}
 
         outgoing: List[Tuple[int, int]] = []
 
         # Step 2(2): a source starts its own wave at its scheduled round.
-        if self.schedule is not None and round_number == self.schedule.start_round:
-            self.last_tag = max(self.last_tag, self.schedule.tag)
-            outgoing.append((self.schedule.tag, 0))
+        schedule = self.schedule
+        if schedule is not None and round_number == schedule.start_round:
+            if schedule.tag > self.last_tag:
+                self.last_tag = schedule.tag
+            outgoing.append((schedule.tag, 0))
 
         # Step 3(a)/(b): filter incoming messages.
+        if self.forward_all:
+            kept = sorted(set(self._fresh(inbox)))
+        else:
+            # In schedule-correct executions all fresh messages are
+            # identical (Lemma 4); keep the largest for determinism.  The
+            # running best starts at ``(t_v, -1)``, below every fresh one.
+            last_tag = best_tag = self.last_tag
+            best_delta = -1
+            for payload in inbox.values():
+                if isinstance(payload, tuple) and payload and payload[0] == "w":
+                    _, tag, delta = payload
+                    if tag > best_tag or (tag == best_tag and delta > best_delta):
+                        best_tag, best_delta = tag, delta
+                elif isinstance(payload, list):
+                    for item in payload:
+                        tag, delta = item[1], item[2]
+                        if tag > best_tag or (tag == best_tag and delta > best_delta):
+                            best_tag, best_delta = tag, delta
+            kept = ((best_tag, best_delta),) if best_tag > last_tag else ()
+        for tag, delta in kept:
+            if tag > self.last_tag:
+                self.last_tag = tag
+            if delta >= self.max_distance:
+                self.max_distance = delta + 1
+            outgoing.append((tag, delta + 1))
+
+        if not outgoing:
+            return {}
+        if len(outgoing) == 1:
+            tag, delta = outgoing[0]
+            return self.broadcast(("w", tag, delta))
+        return self.broadcast([("w", tag, delta) for tag, delta in outgoing])
+
+    def _fresh(self, inbox: Inbox) -> List[Tuple[int, int]]:
+        """Every received ``(tag, delta)`` whose tag exceeds ``t_v``."""
         fresh: List[Tuple[int, int]] = []
-        for _, payload in inbox.items():
+        for payload in inbox.values():
             if isinstance(payload, tuple) and payload and payload[0] == "w":
                 _, tag, delta = payload
                 if tag > self.last_tag:
@@ -114,28 +151,7 @@ class _WaveNode(NodeAlgorithm):
                     tag, delta = item[1], item[2]
                     if tag > self.last_tag:
                         fresh.append((tag, delta))
-
-        if fresh:
-            if self.forward_all:
-                kept = sorted(set(fresh))
-            else:
-                # In schedule-correct executions all fresh messages are
-                # identical (Lemma 4); keep the largest for determinism.
-                kept = [max(fresh)]
-            for tag, delta in kept:
-                self.last_tag = max(self.last_tag, tag)
-                self.max_distance = max(self.max_distance, delta + 1)
-                outgoing.append((tag, delta + 1))
-
-        if not outgoing:
-            return {}
-        if len(outgoing) == 1 and not self.forward_all:
-            tag, delta = outgoing[0]
-            return self.broadcast(("w", tag, delta))
-        if len(outgoing) == 1:
-            tag, delta = outgoing[0]
-            return self.broadcast(("w", tag, delta))
-        return self.broadcast([("w", tag, delta) for tag, delta in outgoing])
+        return fresh
 
     def result(self):
         return self.max_distance
@@ -187,7 +203,7 @@ def run_distance_waves(
 
     execution = network.run(
         lambda node, net: _WaveNode(
-            node, net.neighbors(node), net.num_nodes, net.node_rng(node),
+            node, net.neighbors(node), net.num_nodes, partial(net.node_rng, node),
             schedule.get(node), duration, forward_all,
         ),
         exact_rounds=duration,

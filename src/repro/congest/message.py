@@ -35,6 +35,21 @@ def message_size_bits(payload: Any) -> int:
     bugs (e.g. accidentally sending a whole adjacency list object) surface
     immediately instead of silently costing 0 bits.
     """
+    if payload.__class__ is tuple:
+        # Fast path for the common flat tuples of exact ints and strs
+        # (``("w", tag, delta)``): one loop, no recursion.  Any other
+        # element falls through to the general definition below.
+        total = 0
+        for item in payload:
+            cls = item.__class__
+            if cls is int:
+                total += 2 + item.bit_length() + (item < 0) if item else 3
+            elif cls is str:
+                total += 2 + (8 * len(item) or 1)
+            else:
+                break
+        else:
+            return total or 1
     if payload is None:
         return 1
     if isinstance(payload, bool):

@@ -185,7 +185,9 @@ class Network:
 
         Seeded from a CRC of the network seed and the node identifier so
         that executions are reproducible across processes (Python's built-in
-        ``hash`` of strings is randomised per process).
+        ``hash`` of strings is randomised per process).  Algorithm
+        factories pass ``functools.partial(network.node_rng, node)``, so
+        the generator is only built if the node reads ``rng``.
         """
         digest = zlib.crc32(f"{self._seed}|{node!r}".encode("utf-8"))
         return random.Random(digest)

@@ -10,6 +10,9 @@ all of them in lock-step rounds:
   sent at round ``t - 1``;
 * the return value is a mapping ``{neighbour_id: payload}`` of messages to
   send this round (an empty mapping or ``None`` sends nothing);
+  :meth:`NodeAlgorithm.broadcast` returns a read-only
+  :class:`BroadcastOutbox` that the transport delivers without expanding
+  it into a dict -- copy it with ``dict(outbox)`` to edit it;
 * a node signals completion by setting ``self.finished = True``; the network
   stops once every node has finished and no message is in flight.
 
@@ -17,6 +20,11 @@ Only *local* information is available to a node: its identifier, the
 identifiers of its neighbours, the number of nodes ``n``, and whatever it
 learns from messages.  This mirrors the knowledge assumption of Section 2.1
 of the paper.
+
+Randomness.  ``NodeAlgorithm.rng`` is built on first use: the network's
+factories hand over a zero-argument builder (or a ready generator), so a
+run whose algorithm never draws a random number builds no
+``random.Random`` at all.
 
 Self-wakes.  Under the event-driven :class:`repro.engine.SparseScheduler`
 a node's ``on_round`` is only called when its inbox is non-empty (plus once
@@ -31,12 +39,48 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Dict, List, Optional, Sequence
+from collections.abc import Mapping
+from functools import cached_property
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.graphs.graph import NodeId
 
 Outbox = Dict[NodeId, Any]
 Inbox = Dict[NodeId, Any]
+
+#: A node's generator, or a zero-argument callable that builds it.
+RngSource = Union[random.Random, Callable[[], random.Random], None]
+
+
+class BroadcastOutbox(Mapping):
+    """The read-only outbox of :meth:`NodeAlgorithm.broadcast`.
+
+    Maps every target in ``targets`` (the node's neighbour sequence) to
+    the one shared ``payload`` without building a dict per call; the
+    transport delivers it in one pass over ``targets``.  It compares
+    equal to the dict it stands for; ``dict(outbox)`` gives an editable
+    copy.  Never empty: a node without neighbours broadcasts ``{}``.
+    """
+
+    __slots__ = ("payload", "targets")
+
+    def __init__(self, payload: Any, targets: Sequence[NodeId]) -> None:
+        self.payload = payload
+        self.targets = targets
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __iter__(self):
+        return iter(self.targets)
+
+    def __getitem__(self, key: NodeId) -> Any:
+        if key in self.targets:
+            return self.payload
+        raise KeyError(key)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
 
 
 class NodeAlgorithm:
@@ -54,8 +98,12 @@ class NodeAlgorithm:
     num_nodes:
         The number ``n`` of nodes in the network, known to every node.
     rng:
-        A node-local pseudo-random generator (seeded deterministically by the
-        network so executions are reproducible).
+        The node-local pseudo-random generator (seeded deterministically by
+        the network so executions are reproducible), or a zero-argument
+        callable that builds it -- factories pass
+        ``functools.partial(network.node_rng, node)``.  Either way
+        :attr:`rng` is built on first read, so an algorithm that never
+        draws costs no generator; ``None`` reads as ``random.Random(0)``.
     """
 
     def __init__(
@@ -63,7 +111,7 @@ class NodeAlgorithm:
         node_id: NodeId,
         neighbors: Sequence[NodeId],
         num_nodes: int,
-        rng: Optional[random.Random] = None,
+        rng: RngSource = None,
     ) -> None:
         self.node_id = node_id
         self.neighbors: List[NodeId] = list(neighbors)
@@ -71,9 +119,20 @@ class NodeAlgorithm:
         #: ``ceil(log2(n + 1))`` (at least 1): the bit width of one node
         #: identifier or distance, the unit of ``memory_bits`` estimates.
         self.log_n = max(1, math.ceil(math.log2(num_nodes + 1)))
-        self.rng = rng if rng is not None else random.Random(0)
+        self._rng_source = rng
         self.finished = False
         self._wake_requests: List[Optional[int]] = []
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """The node's generator, built from the ``rng`` argument on first
+        read (assigning to it replaces it)."""
+        source = self._rng_source
+        if source is None:
+            return random.Random(0)
+        if isinstance(source, random.Random):
+            return source
+        return source()
 
     # ------------------------------------------------------------------
     # Hooks implemented by concrete algorithms
@@ -197,8 +256,14 @@ class NodeAlgorithm:
     # Conveniences for subclasses
     # ------------------------------------------------------------------
     def broadcast(self, payload: Any) -> Outbox:
-        """An outbox that sends ``payload`` to every neighbour."""
-        return {neighbor: payload for neighbor in self.neighbors}
+        """An outbox that sends ``payload`` to every neighbour.
+
+        A read-only :class:`BroadcastOutbox` over ``self.neighbors`` (``{}``
+        when there are none); copy it with ``dict(outbox)`` to edit it.
+        """
+        if not self.neighbors:
+            return {}
+        return BroadcastOutbox(payload, self.neighbors)
 
     def send_to(self, neighbor: NodeId, payload: Any) -> Outbox:
         """An outbox that sends ``payload`` to a single neighbour."""

@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.congest.errors import RoundLimitExceededError
-from repro.congest.node import Inbox, NodeAlgorithm
+from repro.congest.node import BroadcastOutbox, Inbox, NodeAlgorithm
 from repro.engine.observers import (
     CoreMetricsObserver,
     FaultObserver,
@@ -415,7 +415,9 @@ class ExecutionEngine:
                 if inbox is None:
                     inbox = inbox_pool.pop() if inbox_pool else {}
                 outbox = algorithm.on_round(round_number, inbox)
-                if outbox:
+                # A broadcast outbox is never empty; the class check spares
+                # its Python-level ``__len__`` in the truth test.
+                if outbox.__class__ is BroadcastOutbox or outbox:
                     any_message = True
                     deliver(
                         round_number, node, outbox, next_inboxes, pipeline,

@@ -42,10 +42,18 @@ Both tiers share one entry budget (``size_cache_limit``); beyond it new
 payloads are measured without being cached (no eviction churn).
 
 Delivery measures a payload only when its object differs from the
-previous message's payload in the same outbox: ``NodeAlgorithm.broadcast``
-sends one payload object to every neighbour, so a broadcast costs one
-measurement however many neighbours it reaches.  The outbox's messages,
-bits, largest message and violations are added to the run's
+previous message's payload in the same outbox, so a broadcast costs one
+measurement however many neighbours it reaches.
+``NodeAlgorithm.broadcast`` returns a read-only
+:class:`repro.congest.node.BroadcastOutbox` (one payload, the node's
+neighbour sequence; ``dict(outbox)`` copies it).  Without a fault plan
+or a per-message hook, :meth:`Transport.deliver` delivers one in a
+single pass: one ``frozenset.issuperset`` neighbour check (a failure
+falls back to the per-message loop, which raises for the first bad
+target), one measurement, ``size * count`` bits, and the inboxes filled
+in neighbour order.  Faulty and hooked runs take the per-message loop
+like any other outbox.  Either way the outbox's messages, bits, largest
+message and violations are added to the run's
 :class:`repro.congest.metrics.ExecutionMetrics` (``pipeline.metrics``)
 once per outbox; per-message observer hooks run only when some observer
 overrides them (``pipeline.message_hook``).
@@ -60,10 +68,12 @@ the outer run's delta while their messages do not).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.congest.errors import BandwidthExceededError, ProtocolError
 from repro.congest.message import message_size_bits
+from repro.congest.node import BroadcastOutbox
 from repro.engine.observers import MetricsPipeline
 from repro.graphs.graph import Graph, NodeId
 from repro.graphs.indexed import IndexedGraph
@@ -79,6 +89,9 @@ _SCALAR_CLASSES = frozenset((int, bool, float, str, type(None)))
 
 #: "No payload measured yet in this outbox" (``None`` is a valid payload).
 _NO_PAYLOAD = object()
+
+#: The neighbour set of a sender the topology does not know.
+_NO_NEIGHBORS = frozenset()
 
 
 def _value_signature(payload: Any):
@@ -271,18 +284,50 @@ class Transport:
         round -- the engine merges it into the inboxes of that round)
         instead of ``next_inboxes``.
         """
-        neighbors = self._neighbor_sets.get(sender, ())
+        neighbors = self._neighbor_sets.get(sender, _NO_NEIGHBORS)
         budget = self.bandwidth_bits
-        measure = self.measure
         hook = pipeline.message_hook
+        if (
+            outbox.__class__ is BroadcastOutbox
+            and plan is None
+            and hook is None
+        ):
+            targets = outbox.targets
+            # One C-level pass validates every target; on failure the
+            # per-message loop below raises for the first bad one.
+            if neighbors.issuperset(targets):
+                payload = outbox.payload
+                size = self.measure(payload)
+                count = len(targets)
+                violations = 0
+                if size > budget:
+                    if self.strict_bandwidth:
+                        raise _over_budget(
+                            round_number, sender, targets[0], size, budget
+                        )
+                    violations = count
+                next_inboxes_get = next_inboxes.get
+                for target in targets:
+                    inbox = next_inboxes_get(target)
+                    if inbox is None:
+                        inbox = inbox_pool.pop() if inbox_pool else {}
+                        next_inboxes[target] = inbox
+                    inbox[sender] = payload
+                _account(pipeline.metrics, count, size * count, size, violations)
+                return
+        measure = self.measure
         next_inboxes_get = next_inboxes.get
         if plan is not None:
             edge_down = plan.edge_down
             message_fate = plan.message_fate
             node_down = plan.node_down
+        if outbox.__class__ is BroadcastOutbox:
+            messages = zip(outbox.targets, repeat(outbox.payload))
+        else:
+            messages = outbox.items()
         last = _NO_PAYLOAD
         largest = bits = violations = 0
-        for target, payload in outbox.items():
+        for target, payload in messages:
             if target not in neighbors:
                 raise _non_neighbour(sender, target)
             if payload is not last:

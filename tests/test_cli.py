@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import glob
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -327,3 +332,49 @@ class TestBenchCommand:
         payload = json.loads(baselines.read_text())
         assert payload["smoke"]["engine"] == 4.0
         assert payload["full"]["engine"] == 9.0
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _committed_reports():
+    """sha256 of every ``BENCH_*.json`` at the repository root."""
+    digests = {}
+    for path in sorted(glob.glob(os.path.join(REPO_ROOT, "BENCH_*.json"))):
+        with open(path, "rb") as handle:
+            digests[os.path.basename(path)] = hashlib.sha256(handle.read()).hexdigest()
+    return digests
+
+
+class TestBenchSmoke:
+    def test_every_harness_runs_and_leaves_the_reports_alone(self):
+        """``repro bench --smoke`` runs all seven real harnesses.
+
+        A harness that no longer fits the engine (a changed ``deliver``
+        signature, say) aborts the command before the table prints.  The
+        status column is timing-dependent and deliberately not asserted.
+        """
+        before = _committed_reports()
+        env = dict(os.environ)
+        src = os.path.join(REPO_ROOT, "src")
+        env["PYTHONPATH"] = (
+            src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        )
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "bench", "--smoke"],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=600,
+        )
+        if "No module named 'numpy'" in completed.stderr:
+            pytest.skip("the vector harness needs numpy")
+        rows = {
+            line.split()[0]: line.split()
+            for line in completed.stdout.splitlines()
+            if line.strip()
+        }
+        harnesses = ("dispatch", "engine", "faults", "graphcore", "quantum",
+                     "runner", "vector")
+        for name in harnesses:
+            assert name in rows, completed.stdout + completed.stderr
+            assert rows[name][1].endswith("x"), rows[name]
+        assert "Traceback" not in completed.stderr, completed.stderr
+        assert _committed_reports() == before

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import random
+from functools import partial
+
 import pytest
+
+from repro.algorithms.bfs import run_bfs_tree
+from repro.algorithms.leader_election import run_leader_election
 
 from repro.congest.errors import (
     BandwidthExceededError,
@@ -261,3 +267,52 @@ class TestNetwork:
     def test_node_rng_deterministic(self):
         network = Network(generators.path_graph(3), seed=5)
         assert network.node_rng(1).random() == network.node_rng(1).random()
+
+
+class _Dice(NodeAlgorithm):
+    """Draws three numbers from ``self.rng`` as its result."""
+
+    def on_round(self, round_number, inbox):
+        self.finished = True
+        return {}
+
+    def result(self):
+        return [self.rng.random() for _ in range(3)]
+
+
+class TestLazyNodeRng:
+    def test_builder_draws_the_node_rng_stream(self):
+        network = Network(generators.cycle_graph(6), seed=11)
+        result = network.run(lambda node, net: _Dice(
+            node, net.neighbors(node), net.num_nodes, partial(net.node_rng, node)
+        ))
+        for node, draws in result.results.items():
+            reference = network.node_rng(node)
+            assert draws == [reference.random() for _ in range(3)]
+
+    def test_generator_and_default_sources(self):
+        assert _Dice(0, [1], 2, random.Random(5)).rng.random() == random.Random(5).random()
+        assert _Dice(0, [1], 2).rng.random() == random.Random(0).random()
+        built = []
+        node = _Dice(0, [1], 2, lambda: built.append(1) or random.Random(3))
+        assert built == []
+        assert node.rng is node.rng
+        assert built == [1]
+        node.rng = replacement = random.Random(9)
+        assert node.rng is replacement
+
+    def test_runs_that_never_draw_build_no_generator(self, monkeypatch):
+        network = Network(generators.random_connected_gnp(30, p=0.15, seed=4), seed=2)
+        built = []
+        original = random.Random.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(random.Random, "__init__", counting)
+        run_bfs_tree(network, 0)
+        run_leader_election(network)
+        assert built == []
+        network.node_rng(0)
+        assert len(built) == 1

@@ -20,7 +20,7 @@ from repro.congest.errors import (
 )
 from repro.congest.message import message_size_bits
 from repro.congest.network import Network
-from repro.congest.node import NodeAlgorithm
+from repro.congest.node import BroadcastOutbox, NodeAlgorithm
 from repro.engine import (
     ENGINE_NAMES,
     CoreMetricsObserver,
@@ -659,3 +659,116 @@ class TestBatchedAccounting:
         assert recorder.messages == [
             (0, 0, 1, "x" * 4096, message_size_bits("x" * 4096), True)
         ]
+
+
+class _Echo(NodeAlgorithm):
+    """Round 0: broadcast a shared payload.  On first hearing, record the
+    inbox in arrival order, broadcast a reply and stop.  ``as_dict``
+    sends the same outboxes as plain dicts; ``stray`` addresses a
+    non-neighbour in the middle of the broadcast target list."""
+
+    as_dict = False
+    stray = False
+
+    def __init__(self, node_id, neighbors, num_nodes, rng):
+        super().__init__(node_id, neighbors, num_nodes, rng)
+        self.heard = None
+        if self.stray:
+            self.neighbors = [self.neighbors[0], 999, *self.neighbors[1:]]
+
+    def on_round(self, round_number, inbox):
+        outbox = {}
+        if round_number == 0:
+            outbox = self.broadcast(("hi", self.node_id))
+        elif inbox and self.heard is None:
+            self.heard = list(inbox.items())
+            self.finished = True
+            outbox = self.broadcast((self.node_id, len(inbox), "x" * (self.node_id % 3)))
+        return dict(outbox) if self.as_dict else outbox
+
+    def result(self):
+        return self.heard
+
+
+class _EchoDict(_Echo):
+    as_dict = True
+
+
+class _StrayEcho(_Echo):
+    stray = True
+
+
+class _StrayEchoDict(_StrayEcho):
+    as_dict = True
+
+
+class _ChatterboxDict(_Chatterbox):
+    def on_round(self, round_number, inbox):
+        return dict(super().on_round(round_number, inbox))
+
+
+def _cache_counters(metrics):
+    return (metrics.size_cache_hits, metrics.size_cache_misses,
+            metrics.size_cache_overflows)
+
+
+class TestBroadcastOutbox:
+    """``broadcast`` returns a read-only mapping; without a fault plan or
+    per-message hook the transport delivers it in one pass, with every
+    observable outcome of the per-message loop."""
+
+    def test_reads_like_the_dict_it_stands_for(self):
+        node = NodeAlgorithm(0, (3, 1, 2), 4)
+        outbox = node.broadcast("p")
+        assert isinstance(outbox, BroadcastOutbox)
+        assert outbox == {3: "p", 1: "p", 2: "p"}
+        assert list(outbox.items()) == [(3, "p"), (1, "p"), (2, "p")]
+        assert len(outbox) == 3 and 1 in outbox and 4 not in outbox
+        assert outbox[2] == "p" and outbox.get(4) is None
+        with pytest.raises(TypeError):
+            outbox[4] = "q"
+        assert NodeAlgorithm(0, (), 1).broadcast("p") == {}
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("graph", [
+        generators.clique_chain(3, 4),
+        generators.random_connected_gnp(24, p=0.2, seed=5),
+    ], ids=["clique_chain", "gnp"])
+    def test_fast_path_matches_the_hooked_loop(self, engine, graph):
+        def run(cls, record_traffic):
+            network = Network(graph, engine=engine, bandwidth_bits=20,
+                              strict_bandwidth=False)
+            return network.run(_factory(cls), record_traffic=record_traffic)
+
+        fast = run(_Echo, False)
+        hooked = run(_Echo, True)
+        plain = run(_EchoDict, True)
+        assert fast.results == hooked.results == plain.results
+        assert fast.metrics == hooked.metrics == plain.metrics
+        assert (_cache_counters(fast.metrics) == _cache_counters(hooked.metrics)
+                == _cache_counters(plain.metrics))
+        assert hooked.traffic == plain.traffic
+        assert fast.metrics.bandwidth_violations > 0
+        assert fast.metrics.size_cache_hits > 0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_strict_bandwidth_error_is_unchanged(self, engine):
+        graph = generators.clique_chain(3, 4)
+        messages = set()
+        for cls, record_traffic in ((_Chatterbox, False), (_Chatterbox, True),
+                                    (_ChatterboxDict, False)):
+            network = Network(graph, engine=engine, bandwidth_bits=64)
+            with pytest.raises(BandwidthExceededError) as error:
+                network.run(_factory(cls), record_traffic=record_traffic)
+            messages.add(str(error.value))
+        assert len(messages) == 1
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_non_neighbour_target_raises_protocol_error(self, engine):
+        graph = generators.clique_chain(3, 4)
+        messages = set()
+        for cls in (_StrayEcho, _StrayEchoDict):
+            with pytest.raises(ProtocolError) as error:
+                Network(graph, engine=engine).run(_factory(cls))
+            messages.add(str(error.value))
+        assert messages == {"node 0 tried to send to non-neighbour 999"}

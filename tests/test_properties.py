@@ -161,6 +161,57 @@ class TestDistributedProperties:
 # ----------------------------------------------------------------------
 # Messages, gadgets and quantum algebra
 # ----------------------------------------------------------------------
+class _Count(int):
+    """An ``int`` subclass: sized as an int, but off the exact-int fast path."""
+
+
+def _reference_size_bits(payload) -> int:
+    """The recursive size definition documented on ``message_size_bits``."""
+    if payload is None or isinstance(payload, bool):
+        return 1
+    if isinstance(payload, int):
+        if payload == 0:
+            return 1
+        return abs(payload).bit_length() + (1 if payload < 0 else 0)
+    if isinstance(payload, float):
+        return 64
+    if isinstance(payload, str):
+        return max(1, 8 * len(payload))
+    if isinstance(payload, (tuple, list, set, frozenset)):
+        return max(1, sum(2 + _reference_size_bits(item) for item in payload))
+    return max(1, sum(
+        2 + _reference_size_bits(key) + _reference_size_bits(value)
+        for key, value in payload.items()
+    ))
+
+
+_scalars = st.one_of(
+    st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+    st.integers(min_value=-(2 ** 20), max_value=2 ** 20).map(_Count),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.text(max_size=6),
+    st.none(),
+)
+_payloads = st.one_of(
+    # Flat int/str tuples: the shape of almost every algorithm message.
+    st.lists(
+        st.one_of(st.integers(min_value=-(2 ** 40), max_value=2 ** 40),
+                  st.text(max_size=4)),
+        max_size=5,
+    ).map(tuple),
+    st.recursive(
+        _scalars,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4).map(tuple),
+            st.lists(children, max_size=4),
+            st.dictionaries(st.integers(-50, 50), children, max_size=3),
+        ),
+        max_leaves=10,
+    ),
+)
+
+
 class TestMiscellaneousProperties:
     @given(
         st.recursive(
@@ -178,6 +229,11 @@ class TestMiscellaneousProperties:
         size = message_size_bits(payload)
         assert size >= 1
         assert message_size_bits((payload,)) >= size
+
+    @settings(max_examples=300)
+    @given(_payloads)
+    def test_message_size_matches_the_recursive_definition(self, payload):
+        assert message_size_bits(payload) == _reference_size_bits(payload)
 
     @given(bitstrings, bitstrings)
     def test_disjointness_is_symmetric_and_matches_definition(self, x, y):

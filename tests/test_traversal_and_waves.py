@@ -296,3 +296,65 @@ class TestDistanceWaves:
         assert any(
             waves.max_distance[node] < expected[node] for node in graph.nodes()
         )
+
+
+#: ``run_distance_waves`` on a non-strict network, as measured before the
+#: wave node kept a running best instead of a list of fresh messages:
+#: ``(graph, naive schedule, forward_all) -> (d_v in node order, (rounds,
+#: messages, total bits, largest message, violations, peak memory,
+#: size-cache hits, size-cache misses))``.  The naive schedule starts
+#: every wave at round 0, so waves collide and ``forward_all`` sends lists.
+_PINNED_WAVES = {
+    ("clique_chain", True, True): (
+        [5, 5, 5, 4, 3, 3, 3, 2, 1, 0, 1, 1], (60, 149, 5427, 70, 40, 24, 116, 33)),
+    ("clique_chain", True, False): (
+        [5, 5, 5, 4, 3, 3, 3, 2, 1, 0, 1, 1], (60, 149, 2908, 22, 0, 24, 122, 27)),
+    ("clique_chain", False, True): (
+        [5, 5, 5, 4, 3, 3, 3, 3, 4, 5, 5, 5], (60, 480, 9120, 22, 0, 24, 418, 62)),
+    ("clique_chain", False, False): (
+        [5, 5, 5, 4, 3, 3, 3, 3, 4, 5, 5, 5], (60, 480, 9120, 22, 0, 24, 418, 62)),
+    ("gnp", True, True): (
+        [3, 3, 2, 2, 2, 2, 2, 1, 2, 0, 3, 2, 3, 2, 1, 2, 2, 1, 1, 3],
+        (88, 262, 12983, 185, 61, 30, 213, 49)),
+    ("gnp", True, False): (
+        [3, 3, 2, 2, 2, 2, 2, 1, 2, 0, 3, 2, 3, 2, 1, 2, 2, 1, 1, 3],
+        (88, 262, 5365, 22, 0, 30, 229, 33)),
+    ("gnp", False, True): (
+        [3, 3, 3, 2, 3, 3, 3, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3],
+        (88, 1920, 37954, 22, 0, 30, 1842, 78)),
+    ("gnp", False, False): (
+        [3, 3, 3, 2, 3, 3, 3, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3],
+        (88, 1920, 37954, 22, 0, 30, 1842, 78)),
+}
+
+_WAVE_GRAPHS = {
+    "clique_chain": lambda: generators.clique_chain(3, 4),
+    "gnp": lambda: generators.random_connected_gnp(20, p=0.15, seed=7),
+}
+
+
+@pytest.mark.parametrize("engine", ["dense", "sparse"])
+@pytest.mark.parametrize("key", sorted(_PINNED_WAVES))
+def test_waves_match_pinned_results_and_metrics(key, engine):
+    graph_name, naive, forward_all = key
+    graph = _WAVE_GRAPHS[graph_name]()
+    network = Network(graph, seed=0, strict_bandwidth=False, engine=engine)
+    tree = run_bfs_tree(network, graph.nodes()[0])
+    tour = run_full_euler_tour(network, tree)
+    schedule = {
+        node: WaveScheduleEntry(start_round=0 if naive else 2 * time, tag=time)
+        for node, time in tour.visit_time.items()
+    }
+    waves = run_distance_waves(
+        Network(graph, seed=0, strict_bandwidth=False, engine=engine),
+        schedule, 4 * graph.num_nodes + 2 * tree.depth + 2,
+        forward_all=forward_all,
+    )
+    metrics = waves.metrics
+    assert (
+        [waves.max_distance[node] for node in graph.nodes()],
+        (metrics.rounds, metrics.messages, metrics.total_bits,
+         metrics.max_edge_bits_per_round, metrics.bandwidth_violations,
+         metrics.max_node_memory_bits, metrics.size_cache_hits,
+         metrics.size_cache_misses),
+    ) == _PINNED_WAVES[key]
