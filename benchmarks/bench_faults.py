@@ -82,7 +82,7 @@ def _run_variant(variant: str, graph, seed: int, fault_model):
     )
     try:
         result = runner(network)
-    except (CongestSimulationError, RuntimeError):
+    except CongestSimulationError:
         return False, None, None
     return True, result.estimate, result.metrics
 

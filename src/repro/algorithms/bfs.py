@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
+from repro.congest.errors import UnreachedNodeError
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
 from repro.congest.node import Inbox, NodeAlgorithm, Outbox
@@ -126,7 +127,7 @@ def run_bfs_tree(network: Network, root: NodeId) -> BFSTreeResult:
     distance = {node: data["distance"] for node, data in execution.results.items()}
     children = {node: data["children"] for node, data in execution.results.items()}
     if any(value is None for value in distance.values()):
-        raise RuntimeError(
+        raise UnreachedNodeError(
             "BFS did not reach every node; the network graph must be connected"
         )
     execution.metrics.record_phase("bfs", execution.metrics.rounds)

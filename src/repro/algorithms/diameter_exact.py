@@ -24,6 +24,7 @@ from repro.algorithms.broadcast import run_tree_aggregate_max
 from repro.algorithms.dfs_traversal import run_full_euler_tour
 from repro.algorithms.leader_election import run_leader_election
 from repro.algorithms.waves import WaveScheduleEntry, run_distance_waves
+from repro.congest.errors import UnreachedNodeError
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
 from repro.graphs.graph import NodeId
@@ -64,7 +65,7 @@ def run_classical_exact_diameter(
     tour = run_full_euler_tour(network, tree)
     metrics = metrics.merged(tour.metrics)
     if set(tour.visit_time) != set(network.graph.nodes()):
-        raise RuntimeError("the full Euler tour failed to number every node")
+        raise UnreachedNodeError("the full Euler tour failed to number every node")
 
     schedule: Dict[NodeId, WaveScheduleEntry] = {
         node: WaveScheduleEntry(start_round=2 * time, tag=time)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
+from repro.congest.errors import UnreachedNodeError
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
 from repro.congest.node import Inbox, NodeAlgorithm, Outbox
@@ -80,7 +81,7 @@ def run_leader_election(network: Network) -> LeaderElectionResult:
     )
     leaders = set(map(identifier_key, execution.results.values()))
     if len(leaders) != 1:
-        raise RuntimeError(
+        raise UnreachedNodeError(
             "leader election did not converge to a unique leader; "
             "is the network connected?"
         )

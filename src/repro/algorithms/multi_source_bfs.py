@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.congest.errors import UnreachedNodeError
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
 from repro.congest.node import Inbox, NodeAlgorithm, Outbox
@@ -124,7 +125,7 @@ def run_multi_source_bfs(
         if set(table) != source_set
     ]
     if missing:
-        raise RuntimeError(
+        raise UnreachedNodeError(
             "multi-source BFS did not deliver every source distance to every "
             f"node (first offenders: {missing[:3]!r})"
         )

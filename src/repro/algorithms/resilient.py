@@ -34,6 +34,7 @@ from functools import partial
 from typing import Dict, Optional
 
 from repro.algorithms.diameter_approx import ApproxDiameterResult
+from repro.congest.errors import UnreachedNodeError
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
 from repro.congest.node import Inbox, NodeAlgorithm, Outbox
@@ -165,15 +166,16 @@ def run_resilient_two_approximation(
 
     The reference node defaults to the minimum node identifier -- a value
     every node can agree on without a (fault-sensitive) leader election.
-    Raises :class:`RuntimeError` when the flood fails to reach every node
-    (the eccentricity of a partially-covered flood is not a diameter
-    bound), which the sweep layer records as a failed cell under faults.
+    Raises :class:`repro.congest.errors.UnreachedNodeError` when the
+    flood fails to reach every node (the eccentricity of a
+    partially-covered flood is not a diameter bound), which the sweep
+    layer records as a failed cell under faults.
     """
     if node is None:
         node = min(network.graph.nodes(), key=repr)
     bfs = run_resilient_bfs(network, node, max_retries=max_retries)
     if not bfs.complete:
-        raise RuntimeError(
+        raise UnreachedNodeError(
             f"resilient BFS reached {bfs.reached}/{len(bfs.distance)} nodes; "
             "no diameter bound can be certified"
         )

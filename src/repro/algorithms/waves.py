@@ -95,48 +95,53 @@ class _WaveNode(NodeAlgorithm):
             if round_number >= self.duration:
                 return {}
 
-        outgoing: List[Tuple[int, int]] = []
-
         # Step 2(2): a source starts its own wave at its scheduled round.
+        start = None
         schedule = self.schedule
         if schedule is not None and round_number == schedule.start_round:
             if schedule.tag > self.last_tag:
                 self.last_tag = schedule.tag
-            outgoing.append((schedule.tag, 0))
+            start = ("w", schedule.tag, 0)
 
         # Step 3(a)/(b): filter incoming messages.
         if self.forward_all:
-            kept = sorted(set(self._fresh(inbox)))
-        else:
-            # In schedule-correct executions all fresh messages are
-            # identical (Lemma 4); keep the largest for determinism.  The
-            # running best starts at ``(t_v, -1)``, below every fresh one.
-            last_tag = best_tag = self.last_tag
-            best_delta = -1
-            for payload in inbox.values():
-                if isinstance(payload, tuple) and payload and payload[0] == "w":
-                    _, tag, delta = payload
+            outgoing = [] if start is None else [start]
+            for tag, delta in sorted(set(self._fresh(inbox))):
+                if tag > self.last_tag:
+                    self.last_tag = tag
+                if delta >= self.max_distance:
+                    self.max_distance = delta + 1
+                outgoing.append(("w", tag, delta + 1))
+            if not outgoing:
+                return {}
+            return self.broadcast(outgoing[0] if len(outgoing) == 1 else outgoing)
+
+        # In schedule-correct executions all fresh messages are identical
+        # (Lemma 4); keep the largest for determinism.  The running best
+        # starts at ``(t_v, -1)``, below every fresh one.
+        last_tag = best_tag = self.last_tag
+        best_delta = -1
+        for payload in inbox.values():
+            if isinstance(payload, tuple) and payload and payload[0] == "w":
+                _, tag, delta = payload
+                if tag > best_tag or (tag == best_tag and delta > best_delta):
+                    best_tag, best_delta = tag, delta
+            elif isinstance(payload, list):
+                for item in payload:
+                    tag, delta = item[1], item[2]
                     if tag > best_tag or (tag == best_tag and delta > best_delta):
                         best_tag, best_delta = tag, delta
-                elif isinstance(payload, list):
-                    for item in payload:
-                        tag, delta = item[1], item[2]
-                        if tag > best_tag or (tag == best_tag and delta > best_delta):
-                            best_tag, best_delta = tag, delta
-            kept = ((best_tag, best_delta),) if best_tag > last_tag else ()
-        for tag, delta in kept:
-            if tag > self.last_tag:
-                self.last_tag = tag
-            if delta >= self.max_distance:
-                self.max_distance = delta + 1
-            outgoing.append((tag, delta + 1))
-
-        if not outgoing:
+        if best_tag > last_tag:
+            self.last_tag = best_tag
+            if best_delta >= self.max_distance:
+                self.max_distance = best_delta + 1
+            forward = ("w", best_tag, best_delta + 1)
+            if start is None:
+                return self.broadcast(forward)
+            return self.broadcast([start, forward])
+        if start is None:
             return {}
-        if len(outgoing) == 1:
-            tag, delta = outgoing[0]
-            return self.broadcast(("w", tag, delta))
-        return self.broadcast([("w", tag, delta) for tag, delta in outgoing])
+        return self.broadcast(start)
 
     def _fresh(self, inbox: Inbox) -> List[Tuple[int, int]]:
         """Every received ``(tag, delta)`` whose tag exceeds ``t_v``."""

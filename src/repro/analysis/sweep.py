@@ -271,17 +271,18 @@ def _run_cell(kernel, *args) -> Tuple[int, float, bool, Optional[str]]:
     fault model the kernel call is not wrapped at all -- an exception is a
     bug and propagates exactly as before.  Under an active fault model,
     simulator aborts (:class:`repro.congest.errors.CongestSimulationError`:
-    round/timeout limits, quiescence stalls) and the unreached-node
-    ``RuntimeError`` of the BFS-based drivers are expected outcomes and
-    become failed records; the rounds completed before a round-limit
-    abort are recovered from the enriched exception.
+    round/timeout limits, quiescence stalls, and the
+    :class:`repro.congest.errors.UnreachedNodeError` of the BFS-based
+    drivers) are expected outcomes and become failed records; any other
+    exception is a bug and propagates.  The rounds completed before a
+    round-limit abort are recovered from the enriched exception.
     """
     if current_config().fault.is_null:
         rounds, value = kernel(*args)
         return rounds, value, True, None
     try:
         rounds, value = kernel(*args)
-    except (CongestSimulationError, RuntimeError) as error:
+    except CongestSimulationError as error:
         rounds = getattr(error, "rounds_completed", None) or 0
         return rounds, -1.0, False, f"{type(error).__name__}: {error}"
     return rounds, value, True, None

@@ -25,6 +25,7 @@ from repro.congest.errors import (
     CongestSimulationError,
     ProtocolError,
     RoundLimitExceededError,
+    UnreachedNodeError,
 )
 from repro.congest.message import message_size_bits
 from repro.congest.metrics import ExecutionMetrics
@@ -41,4 +42,5 @@ __all__ = [
     "BandwidthExceededError",
     "RoundLimitExceededError",
     "ProtocolError",
+    "UnreachedNodeError",
 ]

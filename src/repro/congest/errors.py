@@ -60,3 +60,10 @@ class RoundLimitExceededError(CongestSimulationError):
 class ProtocolError(CongestSimulationError):
     """An algorithm violated the simulator's contract, e.g. sent a message
     to a node that is not a neighbour."""
+
+
+class UnreachedNodeError(CongestSimulationError):
+    """A run ended without reaching every node it had to reach, e.g. a BFS
+    or a flood on a disconnected network, or one whose messages a fault
+    model dropped.  The sweep layer records it as a failed cell under an
+    active fault model."""

@@ -9,7 +9,12 @@
 * a :class:`repro.engine.transport.Transport` moves messages -- neighbour
   validation, memoised size measurement (once per shared broadcast
   payload), bandwidth policy, delivery -- and adds each outbox's totals
-  to the run's metrics;
+  to the run's metrics.  One case skips it: in a run without a fault
+  plan and without a per-message hook, the round loop delivers each
+  :class:`repro.congest.node.BroadcastOutbox` itself (one neighbour
+  check, one ``Transport.measure``, the same strict-bandwidth error) and
+  adds the round's broadcast totals to the metrics once, before
+  ``on_round_end``; :meth:`Transport.deliver` serves every other outbox;
 * a :class:`repro.engine.observers.MetricsPipeline` holds the run's
   observers; only those that override a per-event hook are called per
   event (core accounting is batched, see :mod:`repro.engine.observers`).
@@ -46,7 +51,12 @@ from repro.engine.scheduler import (
     make_scheduler,
     validate_engine_name,
 )
-from repro.engine.transport import Transport
+from repro.engine.transport import (
+    _NO_NEIGHBORS,
+    Transport,
+    _account,
+    _over_budget,
+)
 from repro.graphs.graph import NodeId
 
 def get_default_engine() -> str:
@@ -332,6 +342,14 @@ class ExecutionEngine:
         # a local high-water mark; only observers that override
         # ``on_memory_sample`` see them one by one (``memory_hook``).
         deliver = transport.deliver
+        # Without a fault plan and a per-message hook, broadcasts are
+        # delivered right here (see the loop body) and their totals are
+        # added to the metrics once per round.
+        inline = plan is None and pipeline.message_hook is None
+        measure = transport.measure
+        neighbor_sets_get = transport._neighbor_sets.get
+        budget = transport.bandwidth_bits
+        strict = transport.strict_bandwidth
         memory_hook = pipeline.memory_hook
         on_round_end = pipeline.on_round_end
         active_nodes = scheduler.active_nodes
@@ -408,8 +426,10 @@ class ExecutionEngine:
                 items = [(node, algorithms[node]) for node in active]
 
             next_inboxes: Dict[NodeId, Inbox] = {}
+            next_inboxes_get = next_inboxes.get
             any_message = False
             inboxes_get = inboxes.get
+            messages = bits = largest = violations = 0
             for node, algorithm in items:
                 inbox = inboxes_get(node)
                 if inbox is None:
@@ -417,7 +437,39 @@ class ExecutionEngine:
                 outbox = algorithm.on_round(round_number, inbox)
                 # A broadcast outbox is never empty; the class check spares
                 # its Python-level ``__len__`` in the truth test.
-                if outbox.__class__ is BroadcastOutbox or outbox:
+                if outbox.__class__ is BroadcastOutbox:
+                    any_message = True
+                    targets = outbox.targets
+                    # One C-level pass validates every target; on failure
+                    # ``deliver`` raises for the first bad one.
+                    if inline and neighbor_sets_get(node, _NO_NEIGHBORS).issuperset(
+                        targets
+                    ):
+                        payload = outbox.payload
+                        size = measure(payload)
+                        count = len(targets)
+                        if size > budget:
+                            if strict:
+                                raise _over_budget(
+                                    round_number, node, targets[0], size, budget
+                                )
+                            violations += count
+                        if size > largest:
+                            largest = size
+                        messages += count
+                        bits += size * count
+                        for target in targets:
+                            target_inbox = next_inboxes_get(target)
+                            if target_inbox is None:
+                                target_inbox = inbox_pool.pop() if inbox_pool else {}
+                                next_inboxes[target] = target_inbox
+                            target_inbox[node] = payload
+                    else:
+                        deliver(
+                            round_number, node, outbox, next_inboxes, pipeline,
+                            inbox_pool, plan, pending,
+                        )
+                elif outbox:
                     any_message = True
                     deliver(
                         round_number, node, outbox, next_inboxes, pipeline,
@@ -442,7 +494,7 @@ class ExecutionEngine:
                     unfinished += -1 if finished else 1
                 # Drain wake requests on every engine so they cannot pile up
                 # across the run; only wake-aware schedulers act on them.
-                if getattr(algorithm, "_wake_requests", None):
+                if algorithm._wake_requests:
                     requests = algorithm.consume_wake_requests()
                     if uses_wakes:
                         for request in requests:
@@ -452,6 +504,8 @@ class ExecutionEngine:
                                 if request is None
                                 else max(request, round_number + 1),
                             )
+            if messages:
+                _account(metrics, messages, bits, largest, violations)
             on_round_end(round_number)
 
             round_number += 1

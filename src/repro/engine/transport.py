@@ -46,14 +46,17 @@ previous message's payload in the same outbox, so a broadcast costs one
 measurement however many neighbours it reaches.
 ``NodeAlgorithm.broadcast`` returns a read-only
 :class:`repro.congest.node.BroadcastOutbox` (one payload, the node's
-neighbour sequence; ``dict(outbox)`` copies it).  Without a fault plan
-or a per-message hook, :meth:`Transport.deliver` delivers one in a
-single pass: one ``frozenset.issuperset`` neighbour check (a failure
-falls back to the per-message loop, which raises for the first bad
-target), one measurement, ``size * count`` bits, and the inboxes filled
-in neighbour order.  Faulty and hooked runs take the per-message loop
-like any other outbox.  Either way the outbox's messages, bits, largest
-message and violations are added to the run's
+neighbour sequence; ``dict(outbox)`` copies it).  In a run without a
+fault plan and without a per-message hook, the engine's round loop
+delivers a broadcast itself: one ``frozenset.issuperset`` neighbour
+check, one :meth:`Transport.measure`, ``size * count`` bits, the
+strict-bandwidth error naming the first target, the inboxes filled in
+neighbour order, and the round's broadcast totals added to the metrics
+once.  A broadcast that fails the neighbour check is handed to
+:meth:`Transport.deliver`, whose per-message loop raises for the first
+bad target.  :meth:`Transport.deliver` serves every other outbox: dict
+outboxes, and every outbox of faulty or hooked runs.  It adds an
+outbox's messages, bits, largest message and violations to the run's
 :class:`repro.congest.metrics.ExecutionMetrics` (``pipeline.metrics``)
 once per outbox; per-message observer hooks run only when some observer
 overrides them (``pipeline.message_hook``).
@@ -94,26 +97,37 @@ _NO_PAYLOAD = object()
 _NO_NEIGHBORS = frozenset()
 
 
-def _value_signature(payload: Any):
-    """The type signature for the value tier, or ``None`` if ineligible.
+def _value_signature_and_size(payload: Any):
+    """``(type signature, size)`` for the value tier, or ``None`` if
+    ineligible, in one pass over the payload.
 
     Scalars sign as their class; flat tuples of scalars sign as the tuple
     of their element classes.  Nested containers are ineligible (their
     signature would not see inside, so ``(("a", 2),)`` and ``(("a", 2.0),)``
-    could conflate) and fall back to the repr tier.
+    could conflate) and fall back to the repr tier.  The size is
+    :func:`repro.congest.message.message_size_bits` of the payload; its
+    flat-tuple rule (2 bits of framing per element, at least 1 bit in
+    all) is applied here while the signature is built.
     """
     cls = payload.__class__
     if cls is tuple:
         signature = []
         append = signature.append
+        total = 0
         for item in payload:
             item_cls = item.__class__
-            if item_cls not in _SCALAR_CLASSES:
+            if item_cls is int:
+                total += 2 + item.bit_length() + (item < 0) if item else 3
+            elif item_cls is str:
+                total += 2 + (8 * len(item) or 1)
+            elif item_cls in _SCALAR_CLASSES:
+                total += 2 + message_size_bits(item)
+            else:
                 return None
             append(item_cls)
-        return tuple(signature)
+        return tuple(signature), total or 1
     if cls in _SCALAR_CLASSES:
-        return cls
+        return cls, message_size_bits(payload)
     return None
 
 
@@ -202,9 +216,9 @@ class Transport:
                 # payload (e.g. ``(2,)`` probing an entry for ``(2.0,)``).
                 # Fall through, re-measure and retake the slot.
         if hashable:
-            signature = _value_signature(payload)
-            if signature is not None:
-                size = message_size_bits(payload)
+            measured = _value_signature_and_size(payload)
+            if measured is not None:
+                signature, size = measured
                 self.cache_misses += 1
                 if (
                     hit is not None  # overwriting an existing slot
@@ -287,34 +301,6 @@ class Transport:
         neighbors = self._neighbor_sets.get(sender, _NO_NEIGHBORS)
         budget = self.bandwidth_bits
         hook = pipeline.message_hook
-        if (
-            outbox.__class__ is BroadcastOutbox
-            and plan is None
-            and hook is None
-        ):
-            targets = outbox.targets
-            # One C-level pass validates every target; on failure the
-            # per-message loop below raises for the first bad one.
-            if neighbors.issuperset(targets):
-                payload = outbox.payload
-                size = self.measure(payload)
-                count = len(targets)
-                violations = 0
-                if size > budget:
-                    if self.strict_bandwidth:
-                        raise _over_budget(
-                            round_number, sender, targets[0], size, budget
-                        )
-                    violations = count
-                next_inboxes_get = next_inboxes.get
-                for target in targets:
-                    inbox = next_inboxes_get(target)
-                    if inbox is None:
-                        inbox = inbox_pool.pop() if inbox_pool else {}
-                        next_inboxes[target] = inbox
-                    inbox[sender] = payload
-                _account(pipeline.metrics, count, size * count, size, violations)
-                return
         measure = self.measure
         next_inboxes_get = next_inboxes.get
         if plan is not None:

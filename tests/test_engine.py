@@ -712,9 +712,18 @@ def _cache_counters(metrics):
             metrics.size_cache_overflows)
 
 
+class _SilentMessageObserver(MetricsObserver):
+    """Overrides ``on_message`` with a no-op, which sends every outbox of
+    the run through ``Transport.deliver``'s per-message loop."""
+
+    def on_message(self, round_number, sender, receiver, payload, size_bits,
+                   violation):
+        pass
+
+
 class TestBroadcastOutbox:
     """``broadcast`` returns a read-only mapping; without a fault plan or
-    per-message hook the transport delivers it in one pass, with every
+    per-message hook the round loop delivers it in one pass, with every
     observable outcome of the per-message loop."""
 
     def test_reads_like_the_dict_it_stands_for(self):
@@ -772,3 +781,72 @@ class TestBroadcastOutbox:
                 Network(graph, engine=engine).run(_factory(cls))
             messages.add(str(error.value))
         assert messages == {"node 0 tried to send to non-neighbour 999"}
+
+    @staticmethod
+    def _run_counting_delivers(monkeypatch, network, factory):
+        """Run ``factory`` on ``network``; return the result, the per-round
+        ``(round, messages, total_bits)`` snapshots the run's core metrics
+        show at ``on_round_end``, and the number of ``Transport.deliver``
+        calls."""
+        snapshots, delivers = [], []
+        deliver = Transport.deliver
+
+        def counting_deliver(self, *args):
+            delivers.append(args[1])
+            return deliver(self, *args)
+
+        def snapshot(self, round_number):
+            snapshots.append(
+                (round_number, self.metrics.messages, self.metrics.total_bits)
+            )
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Transport, "deliver", counting_deliver)
+            patch.setattr(CoreMetricsObserver, "on_round_end", snapshot)
+            result = network.run(factory)
+        return result, snapshots, len(delivers)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("graph", [
+        generators.clique_chain(3, 4),
+        generators.random_connected_gnp(24, p=0.2, seed=5),
+    ], ids=["clique_chain", "gnp"])
+    def test_round_loop_delivery_matches_the_per_message_loop(
+        self, monkeypatch, engine, graph
+    ):
+        def network(observed):
+            network = Network(graph, engine=engine, bandwidth_bits=20,
+                              strict_bandwidth=False)
+            if observed:
+                network.add_observer(_SilentMessageObserver())
+            return network
+
+        clean, clean_rounds, clean_delivers = self._run_counting_delivers(
+            monkeypatch, network(False), _factory(_Echo))
+        looped, looped_rounds, looped_delivers = self._run_counting_delivers(
+            monkeypatch, network(True), _factory(_Echo))
+        assert clean_delivers == 0
+        assert looped_delivers == graph.num_nodes * 2
+        assert clean.results == looped.results
+        assert clean.metrics == looped.metrics
+        assert _cache_counters(clean.metrics) == _cache_counters(looped.metrics)
+        assert clean_rounds == looped_rounds
+        assert [messages for _, messages, _ in clean_rounds] == [
+            2 * graph.num_edges, 4 * graph.num_edges, 4 * graph.num_edges]
+        assert clean.metrics.bandwidth_violations > 0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_round_loop_delivery_raises_the_same_errors(self, engine):
+        graph = generators.clique_chain(3, 4)
+        for cls, error_type in ((_Chatterbox, BandwidthExceededError),
+                                (_StrayEcho, ProtocolError)):
+            texts = set()
+            for observed in (False, True):
+                network = Network(graph, engine=engine, bandwidth_bits=64)
+                if observed:
+                    network.add_observer(_SilentMessageObserver())
+                with pytest.raises(error_type) as error:
+                    network.run(_factory(cls))
+                texts.add(str(error.value))
+            assert len(texts) == 1, texts
+

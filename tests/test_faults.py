@@ -77,6 +77,10 @@ def _root(graph):
     return min(graph.nodes(), key=repr)
 
 
+def _unimplemented_kernel(graph, seed):
+    raise NotImplementedError("kernel bug")
+
+
 class TestFaultModel:
     def test_default_model_is_null(self):
         assert NULL_FAULT_MODEL.is_null
@@ -376,7 +380,7 @@ class TestLossFaults:
         graph = _graph(24)
         true_diameter = graph.compile().diameter()
         for seed in (0, 1, 2):
-            with pytest.raises((CongestSimulationError, RuntimeError)):
+            with pytest.raises(CongestSimulationError):
                 run_classical_two_approximation(
                     Network(graph, seed=seed, fault_model=LOSSY)
                 )
@@ -487,6 +491,31 @@ class TestSweepIntegration:
         assert survived.value > 0
         # The grid restores whatever default was active before it ran.
         assert get_default_fault_model().is_null
+
+    def test_unreached_node_abort_is_a_failed_cell(self):
+        """Under heavy loss leader election ends without a unique leader:
+        an expected fault outcome, recorded under its own type name."""
+        records = run_sweep_grid(
+            self.SPECS,
+            resolve_algorithms(["two_approx"]),
+            base_seed=0,
+            fault_model=FaultModel(loss=0.5, timeout=256),
+        )
+        (failed,) = records
+        assert not failed.success
+        assert failed.value == -1.0
+        assert failed.failure_reason.startswith("UnreachedNodeError: ")
+
+    def test_programming_error_in_a_kernel_propagates(self):
+        """A kernel bug is not a fault outcome, even under a fault model:
+        ``NotImplementedError`` (a ``RuntimeError``) is not recorded."""
+        with pytest.raises(NotImplementedError, match="kernel bug"):
+            run_sweep_grid(
+                self.SPECS,
+                {"broken": _unimplemented_kernel},
+                base_seed=0,
+                fault_model=LOSSY,
+            )
 
     def test_faulty_grid_serial_equals_parallel(self):
         serial = run_sweep_grid(

@@ -18,6 +18,7 @@ from repro.algorithms.dfs_traversal import (
 from repro.congest.message import message_size_bits
 from repro.congest.network import Network
 from repro.core.coverage import coverage_probability, window_set
+from repro.engine import Transport
 from repro.graphs import generators
 from repro.graphs.gadgets_achk import ACHKGadget
 from repro.graphs.gadgets_hw12 import HW12Gadget
@@ -234,6 +235,16 @@ class TestMiscellaneousProperties:
     @given(_payloads)
     def test_message_size_matches_the_recursive_definition(self, payload):
         assert message_size_bits(payload) == _reference_size_bits(payload)
+
+    @settings(max_examples=300)
+    @given(_payloads)
+    def test_transport_measure_matches_the_recursive_definition(self, payload):
+        """A miss measures the payload in the same pass that signs it; a
+        hit must return the same size."""
+        transport = Transport(generators.path_graph(2), 64, False)
+        expected = _reference_size_bits(payload)
+        assert transport.measure(payload) == expected
+        assert transport.measure(payload) == expected
 
     @given(bitstrings, bitstrings)
     def test_disjointness_is_symmetric_and_matches_definition(self, x, y):

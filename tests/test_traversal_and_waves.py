@@ -300,55 +300,78 @@ class TestDistanceWaves:
 
 #: ``run_distance_waves`` on a non-strict network, as measured before the
 #: wave node kept a running best instead of a list of fresh messages:
-#: ``(graph, naive schedule, forward_all) -> (d_v in node order, (rounds,
+#: ``(graph, schedule, forward_all) -> (d_v in node order, (rounds,
 #: messages, total bits, largest message, violations, peak memory,
-#: size-cache hits, size-cache misses))``.  The naive schedule starts
-#: every wave at round 0, so waves collide and ``forward_all`` sends lists.
+#: size-cache hits, size-cache misses))``.  The ``"dfs"`` schedule is the
+#: Figure-2 one (``start = 2 * tau``); the ``"naive"`` one starts every
+#: wave at round 0, so waves collide and ``forward_all`` sends lists.  The
+#: ``"hand"`` schedule on a 6-path (pinned before the wave node built its
+#: one payload directly) makes nodes 2 and 4 start their own wave in the
+#: round a higher-tag wave reaches them, so each broadcasts the ``[start,
+#: forward]`` list.
 _PINNED_WAVES = {
-    ("clique_chain", True, True): (
+    ("clique_chain", "naive", True): (
         [5, 5, 5, 4, 3, 3, 3, 2, 1, 0, 1, 1], (60, 149, 5427, 70, 40, 24, 116, 33)),
-    ("clique_chain", True, False): (
+    ("clique_chain", "naive", False): (
         [5, 5, 5, 4, 3, 3, 3, 2, 1, 0, 1, 1], (60, 149, 2908, 22, 0, 24, 122, 27)),
-    ("clique_chain", False, True): (
+    ("clique_chain", "dfs", True): (
         [5, 5, 5, 4, 3, 3, 3, 3, 4, 5, 5, 5], (60, 480, 9120, 22, 0, 24, 418, 62)),
-    ("clique_chain", False, False): (
+    ("clique_chain", "dfs", False): (
         [5, 5, 5, 4, 3, 3, 3, 3, 4, 5, 5, 5], (60, 480, 9120, 22, 0, 24, 418, 62)),
-    ("gnp", True, True): (
+    ("gnp", "naive", True): (
         [3, 3, 2, 2, 2, 2, 2, 1, 2, 0, 3, 2, 3, 2, 1, 2, 2, 1, 1, 3],
         (88, 262, 12983, 185, 61, 30, 213, 49)),
-    ("gnp", True, False): (
+    ("gnp", "naive", False): (
         [3, 3, 2, 2, 2, 2, 2, 1, 2, 0, 3, 2, 3, 2, 1, 2, 2, 1, 1, 3],
         (88, 262, 5365, 22, 0, 30, 229, 33)),
-    ("gnp", False, True): (
+    ("gnp", "dfs", True): (
         [3, 3, 3, 2, 3, 3, 3, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3],
         (88, 1920, 37954, 22, 0, 30, 1842, 78)),
-    ("gnp", False, False): (
+    ("gnp", "dfs", False): (
         [3, 3, 3, 2, 3, 3, 3, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3],
         (88, 1920, 37954, 22, 0, 30, 1842, 78)),
+    ("path", "hand", False): (
+        [0, 1, 2, 3, 4, 5], (16, 13, 336, 41, 0, 18, 5, 8)),
+    ("path", "hand", True): (
+        [0, 1, 2, 3, 4, 5], (16, 13, 420, 62, 2, 18, 5, 8)),
 }
 
 _WAVE_GRAPHS = {
     "clique_chain": lambda: generators.clique_chain(3, 4),
     "gnp": lambda: generators.random_connected_gnp(20, p=0.15, seed=7),
+    "path": lambda: generators.path_graph(6),
+}
+
+#: Node 0's tag-9 wave reaches node 2 in round 2 and node 4 in round 4,
+#: the rounds in which those two start their own (lower-tag) waves.
+_HAND_SCHEDULE = {
+    0: WaveScheduleEntry(start_round=0, tag=9),
+    5: WaveScheduleEntry(start_round=1, tag=4),
+    2: WaveScheduleEntry(start_round=2, tag=3),
+    4: WaveScheduleEntry(start_round=4, tag=1),
 }
 
 
 @pytest.mark.parametrize("engine", ["dense", "sparse"])
 @pytest.mark.parametrize("key", sorted(_PINNED_WAVES))
 def test_waves_match_pinned_results_and_metrics(key, engine):
-    graph_name, naive, forward_all = key
+    graph_name, schedule_kind, forward_all = key
     graph = _WAVE_GRAPHS[graph_name]()
-    network = Network(graph, seed=0, strict_bandwidth=False, engine=engine)
-    tree = run_bfs_tree(network, graph.nodes()[0])
-    tour = run_full_euler_tour(network, tree)
-    schedule = {
-        node: WaveScheduleEntry(start_round=0 if naive else 2 * time, tag=time)
-        for node, time in tour.visit_time.items()
-    }
+    if schedule_kind == "hand":
+        schedule, duration = _HAND_SCHEDULE, 16
+    else:
+        network = Network(graph, seed=0, strict_bandwidth=False, engine=engine)
+        tree = run_bfs_tree(network, graph.nodes()[0])
+        tour = run_full_euler_tour(network, tree)
+        naive = schedule_kind == "naive"
+        schedule = {
+            node: WaveScheduleEntry(start_round=0 if naive else 2 * time, tag=time)
+            for node, time in tour.visit_time.items()
+        }
+        duration = 4 * graph.num_nodes + 2 * tree.depth + 2
     waves = run_distance_waves(
         Network(graph, seed=0, strict_bandwidth=False, engine=engine),
-        schedule, 4 * graph.num_nodes + 2 * tree.depth + 2,
-        forward_all=forward_all,
+        schedule, duration, forward_all=forward_all,
     )
     metrics = waves.metrics
     assert (
